@@ -66,6 +66,29 @@ struct BenchArgs {
   }
 };
 
+/// Rejects scale knobs the simulator cannot run with, so a bad flag fails as
+/// a usage error instead of aborting deep in the engine or silently falling
+/// back to the single-engine path.
+inline Status ValidateBenchArgs(const BenchArgs& args) {
+  if (args.queries < 1) {
+    return Status::InvalidArgument("--queries must be >= 1, got " +
+                                   std::to_string(args.queries));
+  }
+  if (args.arrivals < 1) {
+    return Status::InvalidArgument("--arrivals must be >= 1, got " +
+                                   std::to_string(args.arrivals));
+  }
+  if (args.batch < 0) {
+    return Status::InvalidArgument("--batch must be >= 0, got " +
+                                   std::to_string(args.batch));
+  }
+  if (args.shards < 1) {
+    return Status::InvalidArgument("--shards must be >= 1, got " +
+                                   std::to_string(args.shards));
+  }
+  return Status::Ok();
+}
+
 /// Registers the standard flags and parses argv; exits on --help or error.
 /// Callers may override the scale defaults (e.g. the clustering benches use
 /// more queries so per-cluster amortization resembles the paper's 500-query
@@ -100,7 +123,8 @@ inline BenchArgs ParseBenchArgs(const std::string& name, int argc,
   flags->AddInt("shards", &args.shards,
                 "scheduler shards (1 = classic single-scheduler runtime; "
                 "K > 1 = partitioned shard-parallel runtime)");
-  const Status status = flags->Parse(argc, argv);
+  Status status = flags->Parse(argc, argv);
+  if (status.ok()) status = ValidateBenchArgs(args);
   if (!status.ok()) {
     if (flags->help_requested()) std::exit(0);
     std::cerr << name << ": " << status << "\n" << flags->Usage();

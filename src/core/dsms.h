@@ -49,7 +49,7 @@ struct SimulationOptions {
   obs::EventTracer* tracer = nullptr;
   /// Optional live-telemetry hub (obs/telemetry.h, docs/telemetry.md). Must
   /// have at least `shards` cells; each shard engine publishes into its own
-  /// cell and the router pass publishes routed/admission counts, so a
+  /// cell and the routing pass publishes routed/admission counts, so a
   /// TelemetrySampler thread can watch the run live. Observation-only:
   /// attaching a hub never changes any result (pinned by
   /// tests/obs_telemetry_test.cc). The caller owns the hub; it must outlive
@@ -104,13 +104,9 @@ struct SimulationOptions {
   /// docs/overload.md). Off by default: the engine and its reports stay
   /// byte-identical to pre-shedding builds.
   exec::ShedConfig shed;
-  /// Per-class admission control at the shard router (sched/admission.h);
-  /// only meaningful when shards > 1. Off by default.
+  /// Per-class admission control while routing arrivals to shards
+  /// (sched/admission.h); only meaningful when shards > 1. Off by default.
   sched::AdmissionConfig admission;
-  /// Router backpressure behaviour on a full shard ring
-  /// (sched::StallPolicy); only meaningful when shards > 1. The default is
-  /// lossless bounded backoff.
-  sched::StallPolicy stall;
 };
 
 struct RunResult {

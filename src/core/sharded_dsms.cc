@@ -424,49 +424,30 @@ ShardedRunResult SimulateShardedPlan(
         std::move(compiled), std::move(groups), plan.num_streams());
   }
 
-  // Arrival routing. All K consumers must drain concurrently while the
-  // producer pushes (a full ring blocks the producer), so the collect pool
-  // has exactly K workers and the caller thread produces.
-  std::vector<stream::ArrivalTable> sub_arrivals(
-      static_cast<size_t>(num_shards));
-  {
-    sched::ShardRouter router(plan, sharded.assignment,
-                              sched::ShardRouter::kDefaultRingCapacity,
-                              options.stall);
-    // Admission control sits on the producer side of the rings: rejected
-    // arrivals are decided purely by the time-ordered table walk, so the
-    // admitted sub-tables — and therefore all downstream results — stay
-    // deterministic regardless of ring/thread timing.
-    std::unique_ptr<sched::AdmissionController> admission;
-    if (options.admission.enabled) {
-      admission = std::make_unique<sched::AdmissionController>(
-          plan, sharded.assignment, options.admission);
-      router.AttachAdmission(admission.get());
+  // Arrival routing: one sequential pass over the time-ordered table, with
+  // admission control asked before every (arrival, shard) append. The
+  // admitted sub-tables — and therefore all downstream results — are a pure
+  // function of the table walk.
+  std::unique_ptr<sched::AdmissionController> admission;
+  if (options.admission.enabled) {
+    admission = std::make_unique<sched::AdmissionController>(
+        plan, sharded.assignment, options.admission);
+  }
+  const std::vector<stream::ArrivalTable> sub_arrivals = sched::RouteArrivals(
+      plan, sharded.assignment, arrivals, admission.get());
+  for (int s = 0; s < num_shards; ++s) {
+    ShardRunStats& stats = sharded.shard_stats[static_cast<size_t>(s)];
+    stats.arrivals = sub_arrivals[static_cast<size_t>(s)].size();
+    if (admission != nullptr) {
+      stats.admission_dropped =
+          admission->dropped_per_shard()[static_cast<size_t>(s)];
     }
-    ThreadPool collect_pool(num_shards);
-    std::vector<std::future<void>> draining;
-    draining.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      draining.push_back(collect_pool.Submit([&router, &sub_arrivals, s] {
-        router.Collect(s, &sub_arrivals[static_cast<size_t>(s)]);
-      }));
-    }
-    router.Route(arrivals);
-    for (std::future<void>& f : draining) f.get();
-    for (int s = 0; s < num_shards; ++s) {
-      ShardRunStats& stats = sharded.shard_stats[static_cast<size_t>(s)];
-      stats.arrivals = router.routed_counts()[static_cast<size_t>(s)];
-      if (admission != nullptr) {
-        stats.admission_dropped =
-            admission->dropped_per_shard()[static_cast<size_t>(s)];
-      }
-      // The routing/admission pass runs before any shard engine; publish
-      // its per-shard outcome into the hub so the sampler sees routed and
-      // rejected counts for the whole execution phase.
-      if (hub != nullptr) {
-        hub->SetRouted(s, stats.arrivals);
-        hub->SetAdmissionRejected(s, stats.admission_dropped);
-      }
+    // Routing runs before any shard engine; publish its per-shard outcome
+    // into the hub so the sampler sees routed and rejected counts for the
+    // whole execution phase.
+    if (hub != nullptr) {
+      hub->SetRouted(s, stats.arrivals);
+      hub->SetAdmissionRejected(s, stats.admission_dropped);
     }
   }
 

@@ -5,14 +5,14 @@
 // co-locate). Every shard owns a complete private runtime — scheduler,
 // engine, arena-backed unit table, QoS collector, optional tracer — and
 // simulates its sub-plan on its own virtual clock, exactly as a
-// single-engine run over that query subset would. Arrivals are fanned out
-// from the global time-ordered table through lock-free SPSC rings (one
-// producer walks the table once; one consumer per shard builds the
-// shard-local sub-table), and shards execute concurrently on a thread pool.
+// single-engine run over that query subset would. One sequential pass over
+// the global time-ordered table builds every shard-local sub-table
+// (sched::RouteArrivals) before any shard starts, and shards then execute
+// concurrently on a thread pool.
 //
 // Determinism contract (docs/scaling.md):
 //  * Results are a pure function of (plan, arrivals, policy, K, shard_seed).
-//    Thread count, pool scheduling, and ring timing affect only wall-clock.
+//    Thread count and pool scheduling affect only wall-clock.
 //  * Emissions and filter drops are schedule-invariant: frozen draws key on
 //    global Arrival::id / group id / composite identity, which shard
 //    sub-tables and sub-plans preserve. Single-stream workloads therefore

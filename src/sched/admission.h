@@ -1,25 +1,25 @@
-// Per-class admission control at the shard router (overload survival).
+// Per-class admission control while routing to shards (overload survival).
 //
-// Under sustained overload the router would otherwise fan every arrival into
-// every subscribed shard's ring and let the shard engines queue without
-// bound. The admission controller sits in front of the rings and enforces a
-// per-window tuple budget, subdivided into *lanes*: one lane per (shard,
-// dominant cost class) pair, where the dominant class of a (stream, shard)
-// subscription is the query cost class contributing the most expected work
-// per arrival of that stream on that shard (precomputed from the plan's
-// assumed statistics). Budgets are reallocated at every window boundary,
-// DRS-style (see PAPERS.md: Dynamic Resource Scheduling for Real-Time
-// Analytics over Fast Streams): each lane's demand is tracked per window,
-// smoothed by an EWMA, and the next window's budgets are split
+// Under sustained overload routing would otherwise copy every arrival into
+// every subscribed shard's sub-table and let the shard engines queue without
+// bound. The admission controller is asked before each of those appends and
+// enforces a per-window tuple budget, subdivided into *lanes*: one lane per
+// (shard, dominant cost class) pair, where the dominant class of a (stream,
+// shard) subscription is the query cost class contributing the most
+// expected work per arrival of that stream on that shard (precomputed from
+// the plan's assumed statistics). Budgets are reallocated at every window
+// boundary, DRS-style (see PAPERS.md: Dynamic Resource Scheduling for
+// Real-Time Analytics over Fast Streams): each lane's demand is tracked per
+// window, smoothed by an EWMA, and the next window's budgets are split
 // proportionally to the smoothed demands with a minimum-share floor — heavy
 // lanes grow their allocation over a few windows, idle lanes decay toward
 // the floor, and no lane starves.
 //
 // Determinism contract: decisions are a pure function of the admission
-// config and the (shard, stream, time) call sequence — which the router
-// derives from the global time-ordered arrival table alone. Ring occupancy,
-// consumer timing, and thread scheduling never influence an admission
-// decision, so a capped sharded run is exactly repeatable.
+// config and the (shard, stream, time) call sequence — which
+// sched::RouteArrivals derives from the global time-ordered arrival table
+// alone in one sequential pass, so a capped sharded run is exactly
+// repeatable.
 
 #ifndef AQSIOS_SCHED_ADMISSION_H_
 #define AQSIOS_SCHED_ADMISSION_H_

@@ -1,8 +1,6 @@
 #include "sched/shard_router.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -36,19 +34,17 @@ ShardAssignment AssignShards(const query::GlobalPlan& plan, int num_shards,
   return assignment;
 }
 
-ShardRouter::ShardRouter(const query::GlobalPlan& plan,
-                         const ShardAssignment& assignment,
-                         size_t ring_capacity, const StallPolicy& stall)
-    : stall_(stall),
-      routed_(static_cast<size_t>(assignment.num_shards), 0),
-      dropped_(static_cast<size_t>(assignment.num_shards), 0) {
+std::vector<stream::ArrivalTable> RouteArrivals(
+    const query::GlobalPlan& plan, const ShardAssignment& assignment,
+    const stream::ArrivalTable& arrivals, AdmissionController* admission) {
   AQSIOS_CHECK_EQ(static_cast<size_t>(plan.num_queries()),
                   assignment.shard_of_query.size());
-  shards_of_stream_.resize(static_cast<size_t>(plan.num_streams()));
-  const auto subscribe = [this, &assignment](stream::StreamId stream,
-                                             query::QueryId q) {
-    AQSIOS_CHECK_LT(static_cast<size_t>(stream), shards_of_stream_.size());
-    shards_of_stream_[static_cast<size_t>(stream)].push_back(
+  // Subscribed shards per stream id: sorted, deduplicated.
+  std::vector<std::vector<int>> shards_of_stream(
+      static_cast<size_t>(plan.num_streams()));
+  const auto subscribe = [&](stream::StreamId stream, query::QueryId q) {
+    AQSIOS_CHECK_LT(static_cast<size_t>(stream), shards_of_stream.size());
+    shards_of_stream[static_cast<size_t>(stream)].push_back(
         assignment.shard_of_query[static_cast<size_t>(q)]);
   };
   for (const query::CompiledQuery& q : plan.queries()) {
@@ -61,79 +57,25 @@ ShardRouter::ShardRouter(const query::GlobalPlan& plan,
       }
     }
   }
-  for (std::vector<int>& shards : shards_of_stream_) {
+  for (std::vector<int>& shards : shards_of_stream) {
     std::sort(shards.begin(), shards.end());
     shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
   }
-  rings_.reserve(static_cast<size_t>(assignment.num_shards));
-  for (int s = 0; s < assignment.num_shards; ++s) {
-    rings_.push_back(
-        std::make_unique<SpscRing<stream::Arrival>>(ring_capacity));
-  }
-}
 
-bool ShardRouter::PushWithBackoff(SpscRing<stream::Arrival>& ring,
-                                  const stream::Arrival& arrival) {
-  // Phase 1: pure yields. The common full-ring case is a consumer a few
-  // entries behind; it drains within a handful of yields.
-  for (int spin = 0; spin < stall_.spin_yields; ++spin) {
-    if (ring.TryPush(arrival)) return true;
-    std::this_thread::yield();
-  }
-  // Phase 2: sleeps. Bounded CPU burn while a very slow consumer catches
-  // up; with drop_on_stall, a consumer still absent after stall_rounds
-  // sleeps is treated as wedged and the push abandoned (the caller counts
-  // the drop). Without it, sleep indefinitely — lossless, and still not the
-  // hot spin the original unbounded yield loop burned a core on.
-  int slept = 0;
-  while (true) {
-    if (ring.TryPush(arrival)) return true;
-    if (stall_.drop_on_stall && slept >= stall_.stall_rounds) return false;
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(stall_.sleep_micros));
-    ++slept;
-  }
-}
-
-void ShardRouter::Route(const stream::ArrivalTable& arrivals) {
+  std::vector<stream::ArrivalTable> out(
+      static_cast<size_t>(assignment.num_shards));
   for (const stream::Arrival& arrival : arrivals.arrivals) {
     AQSIOS_DCHECK_LT(static_cast<size_t>(arrival.stream),
-                     shards_of_stream_.size());
-    for (int shard : shards_of_stream_[static_cast<size_t>(arrival.stream)]) {
-      if (admission_ != nullptr &&
-          !admission_->Admit(shard, arrival.stream, arrival.time)) {
+                     shards_of_stream.size());
+    for (int shard : shards_of_stream[static_cast<size_t>(arrival.stream)]) {
+      if (admission != nullptr &&
+          !admission->Admit(shard, arrival.stream, arrival.time)) {
         continue;
       }
-      SpscRing<stream::Arrival>& ring = *rings_[static_cast<size_t>(shard)];
-      if (!PushWithBackoff(ring, arrival)) {
-        ++dropped_[static_cast<size_t>(shard)];
-        continue;
-      }
-      ++routed_[static_cast<size_t>(shard)];
+      out[static_cast<size_t>(shard)].arrivals.push_back(arrival);
     }
   }
-  for (std::unique_ptr<SpscRing<stream::Arrival>>& ring : rings_) {
-    ring->Close();
-  }
-}
-
-void ShardRouter::Collect(int shard, stream::ArrivalTable* out) {
-  SpscRing<stream::Arrival>& ring = *rings_[static_cast<size_t>(shard)];
-  stream::Arrival arrival;
-  while (true) {
-    if (ring.TryPop(&arrival)) {
-      out->arrivals.push_back(arrival);
-      continue;
-    }
-    if (ring.closed()) {
-      // Close() happens after the last push; once observed, one failed pop
-      // means the ring is drained for good.
-      if (!ring.TryPop(&arrival)) break;
-      out->arrivals.push_back(arrival);
-      continue;
-    }
-    std::this_thread::yield();
-  }
+  return out;
 }
 
 }  // namespace aqsios::sched

@@ -1,4 +1,4 @@
-// Shard assignment and lock-free arrival routing for the sharded runtime.
+// Shard assignment and arrival routing for the sharded runtime.
 //
 // Sharding partitions the query population into K disjoint shards, each run
 // by its own scheduler + engine on a private virtual clock (see
@@ -15,31 +15,21 @@
 //    placement is a pure function of (plan, K, seed): stable across runs,
 //    thread counts, and platforms.
 //
-//  * ShardRouter — fan-out of the global arrival table to per-shard SPSC
-//    ring buffers. One producer thread walks the time-ordered table and
-//    pushes each arrival into the ring of every shard subscribed to its
-//    stream; one consumer per shard drains its ring into a shard-local
-//    sub-table. The hot path is lock-free and allocation-free (rings are
-//    pre-sized). A full ring backpressures the producer with a bounded
-//    spin that escalates to short sleeps (StallPolicy) — lossless by
-//    default; with drop_on_stall the producer instead gives up on a shard
-//    whose consumer stays wedged past the stall budget and counts the
-//    arrival in dropped_counts(), so one dead consumer cannot livelock the
-//    whole router.
+//  * RouteArrivals — splits the global arrival table into per-shard
+//    sub-tables in one sequential pass. Each arrival is appended to the
+//    sub-table of every shard subscribed to its stream, in ascending shard
+//    order, after asking the optional admission controller.
 //
 // Shard-local sub-tables preserve global Arrival::id values and relative
-// time order (the producer walks the table in order and SPSC rings are
-// FIFO), so every frozen per-arrival draw inside a shard is identical to the
-// single-engine run's.
+// time order, so every frozen per-arrival draw inside a shard is identical
+// to the single-engine run's.
 
 #ifndef AQSIOS_SCHED_SHARD_ROUTER_H_
 #define AQSIOS_SCHED_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/spsc_ring.h"
 #include "query/plan.h"
 #include "stream/tuple.h"
 
@@ -60,88 +50,18 @@ struct ShardAssignment {
 ShardAssignment AssignShards(const query::GlobalPlan& plan, int num_shards,
                              uint64_t seed);
 
-// Forward declaration (sched/admission.h); the controller is attached to
-// the router but owned by the caller.
+// Forward declaration (sched/admission.h); owned by the caller.
 class AdmissionController;
 
-/// Backpressure behaviour of Route() on a full ring. The default is
-/// lossless: a short pure-yield spin (cheap when the consumer is merely
-/// slow) escalating to sleeps (bounded CPU burn when it is *very* slow).
-/// With `drop_on_stall`, a ring still full after `stall_rounds` consecutive
-/// sleeps is declared wedged and the arrival is dropped for that shard —
-/// accounted in dropped_counts(), never silent — which is the overload
-/// escape hatch that keeps one stuck shard from livelocking the router.
-struct StallPolicy {
-  /// Pure std::this_thread::yield() retries before escalating to sleeps.
-  int spin_yields = 1024;
-  /// Sleep per escalated retry round (real microseconds).
-  int sleep_micros = 50;
-  /// Consecutive sleep rounds on one push before the consumer counts as
-  /// stalled (only meaningful with drop_on_stall). 200 × 50 µs ≈ 10 ms of
-  /// grace — geological time for a consumer that is merely busy.
-  int stall_rounds = 200;
-  /// Drop (and count) instead of waiting forever on a stalled ring.
-  bool drop_on_stall = false;
-};
-
-/// Routes a time-ordered arrival table to per-shard rings. Single producer
-/// (Route), one consumer per shard (Collect); unless drop_on_stall is set,
-/// all consumers must be running before Route fills a ring, or a full ring
-/// blocks the producer indefinitely (sleeping, not spinning).
-class ShardRouter {
- public:
-  /// Ring capacity per shard (entries). 4096 Arrival slots ≈ 160 KiB per
-  /// shard: small enough to stay cache-friendly, deep enough that the
-  /// producer almost never waits on a healthy consumer.
-  static constexpr size_t kDefaultRingCapacity = size_t{1} << 12;
-
-  ShardRouter(const query::GlobalPlan& plan, const ShardAssignment& assignment,
-              size_t ring_capacity = kDefaultRingCapacity,
-              const StallPolicy& stall = {});
-
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
-
-  int num_shards() const { return static_cast<int>(rings_.size()); }
-
-  /// Attaches per-class admission control (sched/admission.h): Route asks
-  /// the controller before every per-shard push and skips — without pushing
-  /// or counting in routed_counts() — arrivals the controller rejects. The
-  /// caller owns the controller; pass nullptr (default) to route everything.
-  void AttachAdmission(AdmissionController* admission) {
-    admission_ = admission;
-  }
-
-  /// Producer: pushes every arrival into the ring of each shard subscribed
-  /// to its stream (backpressuring on full rings per StallPolicy), then
-  /// closes all rings. Call exactly once, from one thread.
-  void Route(const stream::ArrivalTable& arrivals);
-
-  /// Consumer for `shard`: appends drained arrivals to `out` in push order
-  /// until the ring is closed and empty. Call from one thread per shard.
-  void Collect(int shard, stream::ArrivalTable* out);
-
-  /// Arrivals routed to each shard (valid after Route returns).
-  const std::vector<int64_t>& routed_counts() const { return routed_; }
-
-  /// Arrivals dropped per shard because its ring stayed full past the stall
-  /// budget (only ever non-zero with StallPolicy::drop_on_stall).
-  const std::vector<int64_t>& dropped_counts() const { return dropped_; }
-
- private:
-  /// Pushes one arrival with the StallPolicy backoff; returns false when
-  /// the ring stalled and drop_on_stall elected to drop.
-  bool PushWithBackoff(SpscRing<stream::Arrival>& ring,
-                       const stream::Arrival& arrival);
-
-  /// Subscribed shards per stream id: sorted, deduplicated.
-  std::vector<std::vector<int>> shards_of_stream_;
-  std::vector<std::unique_ptr<SpscRing<stream::Arrival>>> rings_;
-  StallPolicy stall_;
-  AdmissionController* admission_ = nullptr;
-  std::vector<int64_t> routed_;
-  std::vector<int64_t> dropped_;
-};
+/// Splits the time-ordered `arrivals` into one sub-table per shard of
+/// `assignment`: each arrival goes to every shard with a query reading its
+/// stream, in ascending shard order. When `admission` is non-null it is asked
+/// before every (arrival, shard) append, and a refused arrival is skipped for
+/// that shard. A shard's routed count is its sub-table's size.
+std::vector<stream::ArrivalTable> RouteArrivals(
+    const query::GlobalPlan& plan, const ShardAssignment& assignment,
+    const stream::ArrivalTable& arrivals,
+    AdmissionController* admission = nullptr);
 
 }  // namespace aqsios::sched
 

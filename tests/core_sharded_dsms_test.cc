@@ -57,7 +57,7 @@ TEST(ShardedDsmsTest, OneShardIsByteIdenticalToClassicEngine) {
     SimulationOptions options = FullOptions(1);
     const ShardedRunResult sharded =
         SimulateSharded(workload, Policy(kind), options);
-    // The sharded path at K=1 still routes through rings, rebuilds the
+    // The sharded path at K=1 still routes the table, rebuilds the
     // sub-plan, and merges one shard's metrics into fresh accumulators —
     // all of which must be exact identities.
     EXPECT_EQ(RunResultToJson(sharded.result), RunResultToJson(classic));

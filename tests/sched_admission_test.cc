@@ -1,4 +1,4 @@
-// Per-class admission control at the shard router (docs/overload.md):
+// Per-class admission control while routing to shards (docs/overload.md):
 // lane construction from the plan's dominant cost classes, budget caps
 // under adversarial bursts, DRS-style reallocation, and determinism of the
 // end-to-end capped sharded run.

@@ -1,15 +1,15 @@
 #include "sched/shard_router.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "query/plan.h"
 #include "query/workload.h"
+#include "sched/admission.h"
 #include "stream/tuple.h"
 
 namespace aqsios::sched {
@@ -79,37 +79,48 @@ TEST(AssignShardsTest, SharingGroupsColocate) {
   }
 }
 
-// Routes with one concurrent consumer thread per shard and returns the
-// per-shard sub-tables.
-std::vector<stream::ArrivalTable> RouteAll(const query::GlobalPlan& plan,
-                                           const stream::ArrivalTable& table,
-                                           const ShardAssignment& assignment,
-                                           size_t ring_capacity) {
-  ShardRouter router(plan, assignment, ring_capacity);
-  std::vector<stream::ArrivalTable> out(
-      static_cast<size_t>(assignment.num_shards));
-  std::vector<std::thread> consumers;
-  for (int s = 0; s < assignment.num_shards; ++s) {
-    consumers.emplace_back(
-        [&router, &out, s] { router.Collect(s, &out[static_cast<size_t>(s)]); });
+// Streams read by the queries of shard `s`.
+std::set<stream::StreamId> SubscribedStreams(const query::GlobalPlan& plan,
+                                             const ShardAssignment& assignment,
+                                             int s) {
+  std::set<stream::StreamId> subscribed;
+  for (const query::QueryId q :
+       assignment.queries_of_shard[static_cast<size_t>(s)]) {
+    const query::QuerySpec& spec = plan.query(q).spec();
+    subscribed.insert(spec.left_stream);
+    if (spec.right_stream >= 0) subscribed.insert(spec.right_stream);
+    for (const query::JoinStage& stage : spec.extra_stages) {
+      subscribed.insert(stage.stream);
+    }
   }
-  router.Route(table);
-  for (std::thread& t : consumers) t.join();
-  return out;
+  return subscribed;
 }
 
-TEST(ShardRouterTest, SingleStreamFanOutIsExactCopy) {
+query::Workload MultiStream(double utilization = 0.9) {
+  query::WorkloadConfig config;
+  config.num_queries = 16;
+  config.num_arrivals = 600;
+  config.seed = 7;
+  config.multi_stream = true;
+  config.utilization = utilization;
+  return query::GenerateWorkload(config);
+}
+
+TEST(RouteArrivalsTest, SingleStreamFanOutIsExactCopy) {
   const query::Workload workload = SingleStream(24);
   const ShardAssignment assignment =
       AssignShards(workload.plan, 3, 0x5eedc0de);
-  const std::vector<stream::ArrivalTable> shards = RouteAll(
-      workload.plan, workload.arrivals, assignment,
-      ShardRouter::kDefaultRingCapacity);
+  const std::vector<stream::ArrivalTable> shards =
+      RouteArrivals(workload.plan, assignment, workload.arrivals);
+  ASSERT_EQ(shards.size(), 3u);
   // Single-stream workload: every (non-empty) shard subscribes to stream 0
   // and receives the whole table — same global ids, same order.
   for (int s = 0; s < 3; ++s) {
-    if (assignment.queries_of_shard[static_cast<size_t>(s)].empty()) continue;
     const stream::ArrivalTable& sub = shards[static_cast<size_t>(s)];
+    if (assignment.queries_of_shard[static_cast<size_t>(s)].empty()) {
+      EXPECT_TRUE(sub.empty()) << "shard " << s;
+      continue;
+    }
     ASSERT_EQ(sub.size(), workload.arrivals.size()) << "shard " << s;
     for (int64_t i = 0; i < sub.size(); ++i) {
       EXPECT_EQ(sub.arrivals[static_cast<size_t>(i)].id,
@@ -120,127 +131,15 @@ TEST(ShardRouterTest, SingleStreamFanOutIsExactCopy) {
   }
 }
 
-TEST(ShardRouterTest, TinyRingBackpressureLosesNothing) {
-  // Capacity 4 forces the producer onto the spin/yield backpressure path
-  // thousands of times; delivery must still be complete and in order.
-  const query::Workload workload = SingleStream(24);
-  const ShardAssignment assignment =
-      AssignShards(workload.plan, 4, 0x5eedc0de);
-  const std::vector<stream::ArrivalTable> shards =
-      RouteAll(workload.plan, workload.arrivals, assignment,
-               /*ring_capacity=*/4);
-  for (int s = 0; s < 4; ++s) {
-    if (assignment.queries_of_shard[static_cast<size_t>(s)].empty()) continue;
-    const stream::ArrivalTable& sub = shards[static_cast<size_t>(s)];
-    ASSERT_EQ(sub.size(), workload.arrivals.size());
-    for (int64_t i = 0; i < sub.size(); ++i) {
-      ASSERT_EQ(sub.arrivals[static_cast<size_t>(i)].id,
-                workload.arrivals.arrivals[static_cast<size_t>(i)].id);
-    }
-  }
-}
-
-TEST(ShardRouterTest, StalledConsumerCannotLivelockTheProducer) {
-  // Regression: a consumer that never drains used to pin Route() in an
-  // unbounded spin/yield loop — one dead shard livelocked the whole
-  // router. With drop_on_stall the producer must escalate to sleeps,
-  // declare the ring wedged after the stall budget, drop the overflow with
-  // accounting, and return. Consumers are started only *after* Route
-  // returns, so every ring is guaranteed full when the stall fires.
-  const query::Workload workload = SingleStream(24);
-  const ShardAssignment assignment =
-      AssignShards(workload.plan, 2, 0x5eedc0de);
-  StallPolicy stall;
-  stall.spin_yields = 4;
-  stall.sleep_micros = 1;
-  stall.stall_rounds = 3;
-  stall.drop_on_stall = true;
-  ShardRouter router(workload.plan, assignment, /*ring_capacity=*/4, stall);
-
-  router.Route(workload.arrivals);  // must return despite absent consumers
-
-  std::vector<stream::ArrivalTable> shards(2);
-  std::vector<std::thread> consumers;
-  for (int s = 0; s < 2; ++s) {
-    consumers.emplace_back([&router, &shards, s] {
-      router.Collect(s, &shards[static_cast<size_t>(s)]);
-    });
-  }
-  for (std::thread& t : consumers) t.join();
-
-  for (int s = 0; s < 2; ++s) {
-    const size_t i = static_cast<size_t>(s);
-    if (assignment.queries_of_shard[i].empty()) continue;
-    // Every arrival is accounted exactly once: routed (and later drained by
-    // the late consumer) or dropped against the stalled ring.
-    EXPECT_EQ(router.routed_counts()[i] + router.dropped_counts()[i],
-              workload.arrivals.size());
-    EXPECT_GT(router.dropped_counts()[i], 0)
-        << "a ring of capacity 4 with no consumer must stall";
-    EXPECT_EQ(static_cast<int64_t>(shards[i].size()),
-              router.routed_counts()[i]);
-    // The survivors preserve global ids and relative order.
-    int64_t prev = -1;
-    for (const stream::Arrival& arrival : shards[i].arrivals) {
-      EXPECT_GT(arrival.id, prev);
-      prev = arrival.id;
-    }
-  }
-}
-
-TEST(ShardRouterTest, LosslessDefaultStillDeliversEverythingUnderStall) {
-  // Without drop_on_stall the sleep escalation must stay lossless: a
-  // consumer that shows up very late still gets every arrival.
-  const query::Workload workload = SingleStream(8);
-  const ShardAssignment assignment =
-      AssignShards(workload.plan, 1, 0x5eedc0de);
-  StallPolicy stall;
-  stall.spin_yields = 1;
-  stall.sleep_micros = 1;
-  ShardRouter router(workload.plan, assignment, /*ring_capacity=*/4, stall);
-  stream::ArrivalTable out;
-  std::thread consumer([&router, &out] {
-    // Let the producer hit the sleep path before draining.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    router.Collect(0, &out);
-  });
-  router.Route(workload.arrivals);
-  consumer.join();
-  EXPECT_EQ(out.size(), workload.arrivals.size());
-  EXPECT_EQ(router.dropped_counts()[0], 0);
-}
-
-TEST(ShardRouterTest, MultiStreamRoutesBySubscription) {
-  query::WorkloadConfig config;
-  config.num_queries = 16;
-  config.num_arrivals = 600;
-  config.seed = 7;
-  config.multi_stream = true;
-  const query::Workload workload = query::GenerateWorkload(config);
+TEST(RouteArrivalsTest, MultiStreamRoutesBySubscription) {
+  const query::Workload workload = MultiStream();
   const ShardAssignment assignment =
       AssignShards(workload.plan, 3, 0x5eedc0de);
-  ShardRouter router(workload.plan, assignment);
-  std::vector<stream::ArrivalTable> shards(3);
-  std::vector<std::thread> consumers;
+  const std::vector<stream::ArrivalTable> shards =
+      RouteArrivals(workload.plan, assignment, workload.arrivals);
   for (int s = 0; s < 3; ++s) {
-    consumers.emplace_back(
-        [&router, &shards, s] { router.Collect(s, &shards[static_cast<size_t>(s)]); });
-  }
-  router.Route(workload.arrivals);
-  for (std::thread& t : consumers) t.join();
-
-  // Streams each shard's queries consume.
-  for (int s = 0; s < 3; ++s) {
-    std::set<stream::StreamId> subscribed;
-    for (const query::QueryId q :
-         assignment.queries_of_shard[static_cast<size_t>(s)]) {
-      const query::QuerySpec& spec = workload.plan.query(q).spec();
-      subscribed.insert(spec.left_stream);
-      if (spec.right_stream >= 0) subscribed.insert(spec.right_stream);
-      for (const query::JoinStage& stage : spec.extra_stages) {
-        subscribed.insert(stage.stream);
-      }
-    }
+    const std::set<stream::StreamId> subscribed =
+        SubscribedStreams(workload.plan, assignment, s);
     // The shard's sub-table must be exactly the global table filtered to its
     // subscribed streams (order and ids preserved).
     std::vector<stream::Arrival> want;
@@ -249,12 +148,61 @@ TEST(ShardRouterTest, MultiStreamRoutesBySubscription) {
     }
     const stream::ArrivalTable& sub = shards[static_cast<size_t>(s)];
     ASSERT_EQ(sub.size(), static_cast<int64_t>(want.size())) << "shard " << s;
-    EXPECT_EQ(router.routed_counts()[static_cast<size_t>(s)],
-              static_cast<int64_t>(want.size()));
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(sub.arrivals[i].id, want[i].id);
       EXPECT_EQ(sub.arrivals[i].stream, want[i].stream);
     }
+  }
+}
+
+TEST(RouteArrivalsTest, AdmissionSkipsRefusedArrivalsPerShard) {
+  const query::Workload workload = MultiStream(/*utilization=*/2.0);
+  constexpr int kShards = 3;
+  const ShardAssignment assignment =
+      AssignShards(workload.plan, kShards, 0x5eedc0de);
+  AdmissionConfig config;
+  config.enabled = true;
+  config.tuples_per_window = 20;
+  config.window_seconds = 0.5;
+  AdmissionController admission(workload.plan, assignment, config);
+  const std::vector<stream::ArrivalTable> shards =
+      RouteArrivals(workload.plan, assignment, workload.arrivals, &admission);
+
+  // Replay the documented call sequence — every arrival in table order, its
+  // subscribed shards ascending — on a fresh controller.
+  std::vector<std::set<stream::StreamId>> subscribed;
+  for (int s = 0; s < kShards; ++s) {
+    subscribed.push_back(SubscribedStreams(workload.plan, assignment, s));
+  }
+  AdmissionController replay(workload.plan, assignment, config);
+  std::vector<std::vector<stream::Arrival>> want(kShards);
+  std::vector<int64_t> offered(kShards, 0);
+  for (const stream::Arrival& arrival : workload.arrivals.arrivals) {
+    for (int s = 0; s < kShards; ++s) {
+      const size_t i = static_cast<size_t>(s);
+      if (!subscribed[i].count(arrival.stream)) continue;
+      ++offered[i];
+      if (replay.Admit(s, arrival.stream, arrival.time)) {
+        want[i].push_back(arrival);
+      }
+    }
+  }
+
+  ASSERT_EQ(shards.size(), static_cast<size_t>(kShards));
+  EXPECT_GT(admission.dropped(), 0) << "the budget must refuse some work";
+  EXPECT_EQ(admission.dropped_per_shard(), replay.dropped_per_shard());
+  for (int s = 0; s < kShards; ++s) {
+    const size_t i = static_cast<size_t>(s);
+    const stream::ArrivalTable& sub = shards[i];
+    ASSERT_EQ(sub.size(), static_cast<int64_t>(want[i].size()))
+        << "shard " << s;
+    for (size_t k = 0; k < want[i].size(); ++k) {
+      EXPECT_EQ(sub.arrivals[k].id, want[i][k].id);
+      EXPECT_EQ(sub.arrivals[k].stream, want[i][k].stream);
+    }
+    // Every offered (arrival, shard) pair is routed or refused, never both.
+    EXPECT_EQ(sub.size() + admission.dropped_per_shard()[i], offered[i])
+        << "shard " << s;
   }
 }
 
