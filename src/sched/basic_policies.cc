@@ -282,8 +282,8 @@ void LsfScheduler::OnCalibratedStats(const std::vector<int>& changed,
   // The scan path reads stats at decision time — nothing cached. The kinetic
   // path re-keys exactly the changed units that are in the index (pending):
   // same anchor (the head wait is untouched by a stats refresh), new 1/T
-  // slope. Insert on an existing id rewrites the line and dirty-marks the
-  // leaf-to-root path — O(log n) amortized, no Clear.
+  // slope. Insert on an existing id rewrites the line and replays its
+  // leaf-to-root path — O(log n), no Clear.
   if (!use_kinetic_) return;
   for (int unit : changed) {
     const Unit& u = (*units_)[static_cast<size_t>(unit)];

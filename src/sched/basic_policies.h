@@ -147,8 +147,8 @@ class LsfScheduler : public Scheduler {
   void OnStatsUpdated() override;
   /// Targeted calibration path: re-keys only the changed units' priority
   /// lines (new 1/T slopes, unchanged anchors) through the kinetic index's
-  /// Insert-on-existing-id + dirty-marking — O(log n) amortized per changed
-  /// unit, never a Clear. The scan path reads stats live and needs nothing.
+  /// Insert-on-existing-id, which replays one leaf-to-root path — O(log n)
+  /// per changed unit, never a Clear. The scan path reads stats live and needs nothing.
   void OnCalibratedStats(const std::vector<int>& changed,
                          SimTime now) override;
   void ResyncQueues(SimTime now) override;

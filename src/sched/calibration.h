@@ -18,7 +18,7 @@
 //     common factor) and re-derives the priority fields.
 //   * The changed set is handed to Scheduler::OnCalibratedStats, whose
 //     kinetic implementations re-key only those units' priority lines
-//     through the index's dirty-marking — O(log n) amortized per affected
+//     through the index's leaf-to-root path replay — O(log n) per affected
 //     unit, never a full heap rebuild (tests pin KineticIndex::clears()).
 //
 // Epochs fire at deterministic virtual times and all estimator inputs are

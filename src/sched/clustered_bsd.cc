@@ -163,7 +163,7 @@ void ClusteredBsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
 
   // Rebuild only the affected clusters' shadow FIFOs canonically (the
   // restricted ResyncQueues) and re-key each one's head line individually —
-  // O(log m) per affected cluster through dirty-marking, never a Clear.
+  // one O(log m) path replay per affected cluster, never a Clear.
   for (const int cluster : affected_clusters_) {
     auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
     if (!kinetic_active() && !queue.empty()) {

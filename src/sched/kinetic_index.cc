@@ -2,74 +2,83 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
 namespace aqsios::sched {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
 void KineticIndex::Reserve(int max_ids) {
   int capacity = 1;
   while (capacity < max_ids) capacity <<= 1;
   dense_ = capacity <= kDenseMaxCapacity;
+  last_time_ = 0.0;
   capacity_ = capacity;
   const size_t leaves = static_cast<size_t>(capacity_);
-  occupied_.assign(leaves, 0);
-  lines_.assign(leaves, Line{});
   dense_ids_.clear();
   dense_pos_.assign(leaves, -1);
   dense_anchor_.clear();
   dense_coef_.clear();
   dense_tie_.clear();
-  if (dense_) {
-    nodes_.clear();
-  } else {
-    nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
-  }
+  nodes_.assign(dense_ ? 0 : leaves * 2, Node{});
   size_ = 0;
 }
 
 void KineticIndex::Clear() {
   ++clears_;
-  std::fill(occupied_.begin(), occupied_.end(), 0);
-  std::fill(nodes_.begin(), nodes_.end(), Node{-1, kInf, kInf});
+  for (const int id : dense_ids_) dense_pos_[static_cast<size_t>(id)] = -1;
   dense_ids_.clear();
   dense_anchor_.clear();
   dense_coef_.clear();
   dense_tie_.clear();
-  std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
+  if (!nodes_.empty()) ClearSubtree(1);
   size_ = 0;
+}
+
+void KineticIndex::ClearSubtree(size_t node) {
+  // A node is non-empty exactly when a live leaf lies below it, so this
+  // visits only the live lines' paths: a resync that clears a sparse tree
+  // costs its live lines, not its capacity.
+  if (nodes_[node].line.id < 0) return;
+  nodes_[node] = Node{};
+  if (node < static_cast<size_t>(capacity_)) {
+    ClearSubtree(node << 1);
+    ClearSubtree((node << 1) | 1);
+  }
 }
 
 void KineticIndex::Rebuild(int new_capacity) {
   const size_t leaves = static_cast<size_t>(new_capacity);
-  occupied_.resize(leaves, 0);
-  lines_.resize(leaves, Line{});
+  const int old_capacity = capacity_;
   dense_pos_.resize(leaves, -1);
   capacity_ = new_capacity;
   if (capacity_ <= kDenseMaxCapacity) {
     // Still small: stay dense — the live-id list and lines carry over.
     return;
   }
-  // Crossing into tree territory (or already there): build the tournament
-  // from the occupancy bitmap. The dense bookkeeping goes dormant.
-  dense_ = false;
-  dense_ids_.clear();
-  dense_anchor_.clear();
-  dense_coef_.clear();
-  dense_tie_.clear();
-  std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
-  nodes_.assign(leaves * 2, Node{-1, kInf, kInf});
-  for (int slot = 0; slot < capacity_; ++slot) {
-    if (occupied_[static_cast<size_t>(slot)]) {
-      nodes_[static_cast<size_t>(capacity_ + slot)].winner = slot;
+  // Tree territory: lay the live lines out as leaves of the new capacity,
+  // from the packed dense arrays or the old tree's leaf row, and build the
+  // tree bottom-up at the latest query time.
+  std::vector<Node> nodes(leaves * 2, Node{});
+  if (dense_) {
+    for (size_t pos = 0; pos < dense_ids_.size(); ++pos) {
+      const double coef = dense_coef_[pos];
+      nodes[leaves + static_cast<size_t>(dense_ids_[pos])].line =
+          Line{dense_anchor_[pos], coef,
+               mode_ == EvalMode::kRatio ? 1.0 / coef : coef, dense_tie_[pos],
+               dense_ids_[pos]};
     }
+    dense_ = false;
+    dense_ids_.clear();
+    dense_anchor_.clear();
+    dense_coef_.clear();
+    dense_tie_.clear();
+    std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
+  } else {
+    std::copy(nodes_.begin() + old_capacity, nodes_.begin() + 2 * old_capacity,
+              nodes.begin() + capacity_);
   }
-  for (int node = capacity_ - 1; node >= 1; --node) {
+  nodes_.swap(nodes);
+  for (size_t node = leaves - 1; node >= 1; --node) {
     RecomputeNode(node, last_time_);
   }
 }
@@ -84,35 +93,32 @@ void KineticIndex::Insert(int id, double anchor, double coef,
     Rebuild(capacity);
   }
   const size_t slot = static_cast<size_t>(id);
-  if (!occupied_[slot]) {
-    occupied_[slot] = 1;
-    ++size_;
-    if (dense_) {
+  if (dense_) {
+    if (dense_pos_[slot] < 0) {
+      ++size_;
       dense_pos_[slot] = static_cast<int>(dense_ids_.size());
       dense_ids_.push_back(id);
       dense_anchor_.push_back(anchor);
       dense_coef_.push_back(coef);
       dense_tie_.push_back(tie_key);
     } else {
-      nodes_[static_cast<size_t>(capacity_ + id)].winner = id;
+      const size_t pos = static_cast<size_t>(dense_pos_[slot]);
+      dense_anchor_[pos] = anchor;
+      dense_coef_[pos] = coef;
+      dense_tie_[pos] = tie_key;
     }
-  } else if (dense_) {
-    const size_t pos = static_cast<size_t>(dense_pos_[slot]);
-    dense_anchor_[pos] = anchor;
-    dense_coef_[pos] = coef;
-    dense_tie_[pos] = tie_key;
+    return;
   }
-  Line& line = lines_[slot];
-  line.anchor = anchor;
-  line.coef = coef;
-  line.slope = mode_ == EvalMode::kRatio ? 1.0 / coef : coef;
-  line.tie = tie_key;
-  if (!dense_) MarkPath(id);
+  size_t node = static_cast<size_t>(capacity_) + slot;
+  Line& leaf = nodes_[node].line;
+  if (leaf.id < 0) ++size_;
+  leaf = Line{anchor, coef, mode_ == EvalMode::kRatio ? 1.0 / coef : coef,
+              tie_key, id};
+  ReplayPath(node);
 }
 
 void KineticIndex::Erase(int id) {
   if (!Contains(id)) return;
-  occupied_[static_cast<size_t>(id)] = 0;
   --size_;
   if (dense_) {
     const size_t pos = static_cast<size_t>(dense_pos_[static_cast<size_t>(id)]);
@@ -129,110 +135,77 @@ void KineticIndex::Erase(int id) {
     dense_pos_[static_cast<size_t>(id)] = -1;
     return;
   }
-  nodes_[static_cast<size_t>(capacity_ + id)].winner = -1;
-  MarkPath(id);
+  size_t node = static_cast<size_t>(capacity_ + id);
+  nodes_[node].line.id = -1;
+  ReplayPath(node);
 }
 
-void KineticIndex::MarkPath(int slot) {
-  // Flag the leaf and its ancestors as dirty (-inf expiry). Stops as soon as
-  // an ancestor is already dirty: by construction dirtiness always extends
-  // to the root, so the remaining prefix is already marked. No priority
-  // arithmetic happens here — it is all deferred to the next ArgMax, which
-  // both deduplicates overlapping paths and evaluates matches at the query
-  // time instead of a stale clock.
-  size_t node = static_cast<size_t>(capacity_ + slot);
-  while (nodes_[node].subtree_exp != -kInf) {
-    nodes_[node].subtree_exp = -kInf;
-    if (node == 1) break;
-    node >>= 1;
-  }
-}
-
-void KineticIndex::RecomputeNode(int node, double t) {
+void KineticIndex::RecomputeNode(size_t node, double t) {
   ++node_recomputes_;
-  const size_t i = static_cast<size_t>(node);
-  const size_t l = i << 1;
-  const size_t r = l | 1;
-  const int wl = nodes_[l].winner;
-  const int wr = nodes_[r].winner;
-  int winner;
-  double match_exp = kInf;
-  if (wl < 0 || wr < 0) {
-    winner = wl < 0 ? wr : wl;
+  Node& n = nodes_[node];
+  const Line& l = nodes_[node << 1].line;
+  const Line& r = nodes_[(node << 1) | 1].line;
+  double match_exp = kNever;
+  const Line* winner;
+  if (l.id < 0 || r.id < 0) {
+    winner = l.id < 0 ? &r : &l;
   } else {
-    const double pl = Eval(wl, t);
-    const double pr = Eval(wr, t);
-    const Line& ll = lines_[static_cast<size_t>(wl)];
-    const Line& lr = lines_[static_cast<size_t>(wr)];
+    const double pl = Eval(l, t);
+    const double pr = Eval(r, t);
     bool left_wins;
     if (pl != pr) {
       left_wins = pl > pr;
-    } else if (ll.tie != lr.tie) {
-      left_wins = ll.tie < lr.tie;
+    } else if (l.tie != r.tie) {
+      left_wins = l.tie < r.tie;
     } else {
-      left_wins = wl < wr;
+      left_wins = l.id < r.id;
     }
-    winner = left_wins ? wl : wr;
-    const Line& lw = left_wins ? ll : lr;
-    const Line& lo = left_wins ? lr : ll;
-    if (lo.slope > lw.slope) {
+    winner = left_wins ? &l : &r;
+    const Line& lo = left_wins ? r : l;
+    if (lo.slope > winner->slope) {
       // The losing line is steeper: it overtakes at the algebraic crossover
       // tc. Re-check a relative margin early; never certify past-the-present
       // validity (a certificate at `t` means "re-check on the next query").
       const double tc =
-          (lo.slope * lo.anchor - lw.slope * lw.anchor) / (lo.slope - lw.slope);
-      double cert = tc - 1e-9 * std::max(1.0, std::abs(tc));
-      if (!(cert > t)) cert = t;
-      match_exp = cert;
+          (lo.slope * lo.anchor - winner->slope * winner->anchor) /
+          (lo.slope - winner->slope);
+      const double cert = tc - 1e-9 * std::max(1.0, std::abs(tc));
+      match_exp = cert > t ? cert : t;
     }
   }
-  nodes_[i].winner = winner;
-  nodes_[i].match_exp = match_exp;
-  nodes_[i].subtree_exp = std::min(
-      match_exp, std::min(nodes_[l].subtree_exp, nodes_[r].subtree_exp));
+  n.line = *winner;
+  n.match_exp = match_exp;
+  n.subtree_exp =
+      std::min(match_exp, std::min(nodes_[node << 1].subtree_exp,
+                                   nodes_[(node << 1) | 1].subtree_exp));
 }
 
-bool KineticIndex::RefreshNode(int node, double now) {
-  const size_t i = static_cast<size_t>(node);
-  const size_t l = i << 1;
-  const size_t r = l | 1;
-  bool left_changed = false;
-  bool right_changed = false;
-  if (static_cast<int>(l) >= capacity_) {
-    // Children are leaves. A leaf with an expired (-inf, i.e. dirty) marker
-    // had its line rewritten — or the slot emptied — by an Insert/Erase
-    // since the last query. Reporting "changed" forces every ancestor match
-    // its line participates in to be recomputed: the winning *slot* of
-    // those matches may be unchanged while the line behind it is not, so a
-    // slot comparison alone would be unsound.
-    if (nodes_[l].subtree_exp <= now) {
-      nodes_[l].subtree_exp = kInf;
-      left_changed = true;
-    }
-    if (nodes_[r].subtree_exp <= now) {
-      nodes_[r].subtree_exp = kInf;
-      right_changed = true;
-    }
-  } else {
-    // Recurse only into expired/dirty subtrees; clean ones are not entered.
-    if (nodes_[l].subtree_exp <= now) left_changed = RefreshNode(l, now);
-    if (nodes_[r].subtree_exp <= now) right_changed = RefreshNode(r, now);
+void KineticIndex::ReplayPath(size_t leaf) {
+  for (size_t node = leaf >> 1; node >= 1; node >>= 1) {
+    RecomputeNode(node, last_time_);
   }
-  const int old_winner = nodes_[i].winner;
-  if (!(left_changed || right_changed) && nodes_[i].match_exp > now) {
-    // Only descendants tightened their expiries; the cached match is intact.
-    nodes_[i].subtree_exp =
-        std::min(nodes_[i].match_exp,
-                 std::min(nodes_[l].subtree_exp, nodes_[r].subtree_exp));
+}
+
+bool KineticIndex::RefreshNode(size_t node, double now) {
+  // Leaves never expire, so only internal children are ever entered. Every
+  // mutation has already been replayed, so a child whose winner id is
+  // unchanged also has an unchanged line.
+  const size_t l = node << 1;
+  bool child_changed = false;
+  if (nodes_[l].subtree_exp <= now) child_changed = RefreshNode(l, now);
+  if (nodes_[l | 1].subtree_exp <= now) {
+    child_changed = RefreshNode(l | 1, now) || child_changed;
+  }
+  Node& n = nodes_[node];
+  if (!child_changed && n.match_exp > now) {
+    // Only descendants' expiries moved; the cached match is intact.
+    n.subtree_exp = std::min(n.match_exp, std::min(nodes_[l].subtree_exp,
+                                                   nodes_[l | 1].subtree_exp));
     return false;
   }
+  const int old_winner = n.line.id;
   RecomputeNode(node, now);
-  const int w = nodes_[i].winner;
-  if (w != old_winner) return true;
-  // Same winning slot — but if the winner came out of a subtree that
-  // reported a change, its *line* may have been rewritten, and ancestors
-  // matched against the old line must re-run their matches too.
-  return w == nodes_[l].winner ? left_changed : right_changed;
+  return n.line.id != old_winner;
 }
 
 int KineticIndex::DenseArgMax(SimTime now, double* priority) {
@@ -269,15 +242,10 @@ int KineticIndex::ArgMax(SimTime now, double* priority) {
   if (size_ == 0) return -1;
   last_time_ = now;
   if (dense_) return DenseArgMax(now, priority);
-  if (capacity_ > 1) {
-    if (nodes_[1].subtree_exp <= now) RefreshNode(1, now);
-  } else {
-    // Single-leaf tree: node 1 is the leaf itself; just clear its marker.
-    nodes_[1].subtree_exp = kInf;
-  }
-  const int winner = nodes_[1].winner;
+  if (nodes_[1].subtree_exp <= now) RefreshNode(1, now);
+  const Line& winner = nodes_[1].line;
   if (priority != nullptr) *priority = Eval(winner, now);
-  return winner;
+  return winner.id;
 }
 
 }  // namespace aqsios::sched

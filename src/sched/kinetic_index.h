@@ -11,11 +11,14 @@
 // therefore an upper-envelope query, which a kinetic tournament answers in
 // O(log n) amortized instead of the naive O(n) scan per scheduling point:
 // a complete binary tree holds one leaf per unit; each internal node caches
-// the winner of its two subtrees plus a *certificate* — the earliest time
-// the losing line could overtake the winning line. ArgMax(now) only
-// re-evaluates subtrees whose certificates have expired; inserts and erases
-// just mark their leaf-to-root path dirty (plain stores, no arithmetic) and
-// the next ArgMax re-runs the marked matches once, at the query time.
+// its subtree's winning line inline (anchor, coef, slope, tie, id — a match
+// reads its two children and nothing else) plus a *certificate*: the
+// earliest time the losing line could overtake the winning line. Insert
+// and Erase replay their leaf-to-root path at once, in one bottom-up loop
+// evaluated at the latest query time, so the tree is always consistent and
+// ArgMax(now) only re-decides matches whose certificates have expired.
+// Clear resets only the non-empty nodes, so clearing a sparse tree costs its
+// live lines rather than its capacity.
 //
 // The index is a hybrid: up to kDenseMaxCapacity slots it skips the tree
 // entirely and answers ArgMax with one exact evaluation per live line over
@@ -33,7 +36,10 @@
 //     (EvalMode::kRatio = `(t - anchor) / coef`, EvalMode::kScaled =
 //     `coef * (t - anchor)`), never by rearranged line algebra. Certificates
 //     are merely conservative *re-check times*; a pessimistic certificate
-//     costs a re-evaluation, never a wrong answer.
+//     costs a re-evaluation, never a wrong answer. A path replayed at
+//     mutation time may match lines anchored after the latest query time
+//     (negative priorities); their certificate expires at the crossover, so
+//     a later query re-decides the match at its own time.
 //  2. Ties reproduce the scan's iteration order: the scan iterates an
 //     ordered set and keeps the first maximum (strict `>`), so ties go to
 //     the smallest (tie_key, id) pair. LSF/BSD pass tie_key = 0 (lowest id
@@ -52,6 +58,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -70,7 +77,8 @@ class KineticIndex {
 
   explicit KineticIndex(EvalMode mode) : mode_(mode) {}
 
-  /// Pre-sizes the tree for ids in [0, max_ids) and clears it. The index
+  /// Pre-sizes the tree for ids in [0, max_ids), clears it and restarts its
+  /// clock (a new run may start earlier than the last query). The index
   /// grows on demand if a larger id is inserted later.
   void Reserve(int max_ids);
 
@@ -85,7 +93,9 @@ class KineticIndex {
   void Erase(int id);
 
   bool Contains(int id) const {
-    return id >= 0 && id < capacity_ && occupied_[static_cast<size_t>(id)] != 0;
+    if (id < 0 || id >= capacity_) return false;
+    return dense_ ? dense_pos_[static_cast<size_t>(id)] >= 0
+                  : nodes_[static_cast<size_t>(capacity_ + id)].line.id >= 0;
   }
 
   bool empty() const { return size_ == 0; }
@@ -99,7 +109,10 @@ class KineticIndex {
 
   /// The priority the scan formula assigns to `id` at time `t` (test aid).
   double EvalAt(int id, SimTime t) const {
-    return Eval(id, t);
+    const size_t slot = static_cast<size_t>(id);
+    if (!dense_) return Eval(nodes_[capacity_ + slot].line, t);
+    const size_t pos = static_cast<size_t>(dense_pos_[slot]);
+    return Eval(Line{dense_anchor_[pos], dense_coef_[pos]}, t);
   }
 
   /// Internal-node recomputations since construction — the work an ArgMax /
@@ -114,44 +127,65 @@ class KineticIndex {
 
   /// Full wipes (Clear calls) since construction. The calibration re-key
   /// path must never trigger one — tests pin this counter to prove re-keys
-  /// stay incremental (Insert-on-existing-id + dirty-marking) instead of
-  /// degenerating into rebuild-the-world.
+  /// stay incremental (Insert-on-existing-id replays one leaf-to-root path)
+  /// instead of degenerating into rebuild-the-world.
   int64_t clears() const { return clears_; }
 
   /// Largest capacity served by the dense fast path. Below this size the
   /// tournament's ~log n match replays per re-key cost more than simply
   /// evaluating every line over a flat array (a pick re-keys the picked
   /// unit, which was the winner of every match on its leaf-to-root path, so
-  /// the whole path must be replayed — certificates cannot save it). The
-  /// crossover sits past a hundred units on current hardware; above it the
-  /// tree's O(log n) takes over.
+  /// the whole path must be replayed — certificates cannot save it).
+  /// Measured on recorded §8 testbed index traces (docs/performance.md):
+  /// BSD's crossover lies between 128 and 200 queries (dense 699 vs tree
+  /// 714 ticks per pick at 128, 959 vs 812 at 200); LSF's divide-per-line
+  /// scan already loses to the tree at 60 queries (417 vs 311).
   static constexpr int kDenseMaxCapacity = 128;
 
  private:
-  double Eval(int slot, double t) const {
-    const Line& line = lines_[static_cast<size_t>(slot)];
+  /// A line p(t) and its owner. `slope` is d p / d t: 1/coef (kRatio) or
+  /// coef (kScaled); `id` is -1 for an empty leaf or subtree.
+  struct Line {
+    double anchor = 0.0;
+    double coef = 1.0;
+    double slope = 0.0;
+    double tie = 0.0;
+    int id = -1;
+  };
+
+  /// Tournament node: the subtree's winning line, the earliest time this
+  /// node's match can flip, and the minimum of that over the subtree. Nodes
+  /// 1..2*capacity_-1, leaves at capacity_ + slot with +inf expiries.
+  struct Node {
+    Line line;
+    double match_exp = kNever;
+    double subtree_exp = kNever;
+  };
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
+  double Eval(const Line& line, double t) const {
     return mode_ == EvalMode::kRatio ? (t - line.anchor) / line.coef
                                      : line.coef * (t - line.anchor);
   }
 
-  /// Re-derives winner, match certificate, and subtree expiry of internal
-  /// node `node` from its children, evaluating the match at time `t`.
-  void RecomputeNode(int node, double t);
+  /// Re-decides internal node `node`'s match from its children at time `t`:
+  /// winner line, match certificate and subtree expiry.
+  void RecomputeNode(size_t node, double t);
 
-  /// Revalidates the subtree under internal node `node` — the caller has
-  /// already established it is expired or dirty — and returns whether the
-  /// subtree's winner (slot or line) changed. Recurses only into expired or
-  /// dirty children; clean subtrees are never entered.
-  bool RefreshNode(int node, double now);
+  /// Replays the matches on the path above leaf node `leaf` at last_time_.
+  void ReplayPath(size_t leaf);
 
-  /// Marks the leaf-to-root path above `slot` dirty (-inf expiries) so the
-  /// next ArgMax recomputes it. Mutations do no priority arithmetic at all:
-  /// deferring to query time deduplicates overlapping paths and evaluates
-  /// matches at the freshest possible clock.
-  void MarkPath(int slot);
+  /// Re-decides every expired match under internal node `node` (whose
+  /// subtree expiry has passed) and returns whether its winner changed.
+  /// Recurses only into expired children.
+  bool RefreshNode(size_t node, double now);
 
-  /// Rebuilds the whole tree for a new leaf capacity (power of two).
+  /// Moves to a new leaf capacity (power of two): stays dense while small,
+  /// otherwise lays the live lines out as leaves and builds the tree.
   void Rebuild(int new_capacity);
+
+  /// Resets every non-empty node under `node` to empty.
+  void ClearSubtree(size_t node);
 
   /// Dense-mode ArgMax: one exact Eval per live id, running lexicographic
   /// (priority desc, tie asc, id asc) best — identical semantics to the
@@ -162,33 +196,12 @@ class KineticIndex {
   bool dense_ = true;  // small indexes start dense; Reserve/growth decide
   int capacity_ = 0;  // leaf slots, power of two (0 until first Reserve)
   int size_ = 0;
-  /// Latest ArgMax query time; a mid-stream Rebuild evaluates its matches
-  /// here (the clock is monotone, so this is the most recent — and
-  /// therefore tightest — evaluation point available).
+  /// Latest ArgMax query time; Insert, Erase and growth evaluate their
+  /// matches here (the clock is monotone, so this is the freshest point).
   double last_time_ = 0.0;
   int64_t node_recomputes_ = 0;
   int64_t clears_ = 0;
 
-  /// Per-leaf-slot line state (indexed by id): 32 bytes, two lines per cache
-  /// line, so one Eval plus the tie-break touch at most one line of memory.
-  struct Line {
-    double anchor = 0.0;
-    double coef = 1.0;
-    double slope = 0.0;  // d p / d t: 1/coef (kRatio) or coef (kScaled)
-    double tie = 0.0;
-  };
-
-  /// Tournament node, fused for the same reason. Nodes 1..2*capacity_-1,
-  /// leaves at capacity_ + slot. Leaves use only `winner` (the slot, or -1
-  /// when vacant) and `subtree_exp` (-inf dirty marker, +inf otherwise).
-  struct Node {
-    int winner = -1;          // winning slot of the subtree, -1 when empty
-    double match_exp = 0.0;   // earliest time this node's match can flip
-    double subtree_exp = 0.0; // min over subtree: match expiries + dirt
-  };
-
-  std::vector<char> occupied_;
-  std::vector<Line> lines_;
   std::vector<Node> nodes_;
   /// Dense mode only: the live ids in arbitrary order (swap-removed), each
   /// id's position in that list (-1 when absent), and the live lines packed

@@ -63,7 +63,7 @@ class Scheduler {
   /// are untouched). Unlike OnStatsUpdated, the affected set is known, so
   /// policies with incremental structures re-key only those units — the
   /// kinetic policies re-insert each changed unit's priority line
-  /// (O(log n) amortized via dirty-marking) instead of clearing the index.
+  /// (one O(log n) path replay each) instead of clearing the index.
   /// The default falls back to the full OnStatsUpdated rebuild, which is
   /// correct for every policy.
   virtual void OnCalibratedStats(const std::vector<int>& changed,

@@ -242,7 +242,7 @@ TEST(CalibrationDriftTest, ShardedCalibratedDriftRunsAreDeterministic) {
 
 TEST(CalibrationDriftTest, TargetedRekeysMatchFullRederivationOracle) {
   // The kinetic policies re-key only the changed units through the index's
-  // dirty-marking; the non-kinetic scan recomputes every priority from the
+  // path replay; the non-kinetic scan recomputes every priority from the
   // (calibrated) stats live at each pick. Byte-identical reports prove the
   // targeted O(log n) path equals the full re-derivation oracle.
   const query::Workload workload = TestbedWorkload();
@@ -264,7 +264,7 @@ TEST(CalibrationDriftTest, TargetedRekeysMatchFullRederivationOracle) {
 TEST(CalibrationDriftTest, CalibrationNeverClearsTheKineticIndex) {
   // The no-full-rebuild pin: a calibrated drift run re-keys thousands of
   // priority lines, yet the kinetic index is never cleared — every rewrite
-  // goes through per-unit dirty-marking.
+  // goes through a per-unit path replay.
   const query::Workload workload = TestbedWorkload();
   const core::SimulationOptions sim_options = DriftOptions(workload);
   {

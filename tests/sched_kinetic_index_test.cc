@@ -1,8 +1,11 @@
 // KineticIndex correctness: randomized equivalence against a brute-force
 // reference (both eval modes, dense and tournament-tree regimes, and the
-// dense-to-tree growth switch), golden-trace equivalence of the kinetic
-// schedulers against their naive scan twins (picks *and* simulated
-// SchedulingCost charges), and full-simulation equality kinetic on vs off.
+// dense-to-tree growth switch), the tree's mutation-time path replay under
+// the engine's pick/re-key pattern, same-clock mutations, zero-priority tie
+// bursts, growth and Clear with live lines, golden-trace equivalence of
+// the kinetic schedulers against their naive scan twins (picks *and*
+// simulated SchedulingCost charges), and full-simulation equality kinetic
+// on vs off.
 
 #include "sched/kinetic_index.h"
 
@@ -56,6 +59,44 @@ int ReferenceArgMax(const std::map<int, RefLine>& lines,
   return best;
 }
 
+/// One query checked against the reference: the same id and, because both
+/// sides must use the same arithmetic, exactly the same priority. The
+/// index's answer goes to *winner.
+::testing::AssertionResult QueryMatches(KineticIndex& index,
+                                        const std::map<int, RefLine>& lines,
+                                        KineticIndex::EvalMode mode,
+                                        double now, int* winner) {
+  double expected_priority = 0.0;
+  const int expected = ReferenceArgMax(lines, mode, now, &expected_priority);
+  double actual_priority = 0.0;
+  *winner = index.ArgMax(now, &actual_priority);
+  if (*winner != expected) {
+    return ::testing::AssertionFailure()
+           << "now=" << now << ": index picked " << *winner
+           << ", scan picked " << expected;
+  }
+  if (expected >= 0 && actual_priority != expected_priority) {
+    return ::testing::AssertionFailure()
+           << "now=" << now << ": priority " << actual_priority
+           << " != scan's " << expected_priority;
+  }
+  if (index.size() != static_cast<int>(lines.size())) {
+    return ::testing::AssertionFailure() << "size " << index.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void Put(KineticIndex& index, std::map<int, RefLine>& lines, int id,
+         RefLine line) {
+  lines[id] = line;
+  index.Insert(id, line.anchor, line.coef, line.tie);
+}
+
+void Drop(KineticIndex& index, std::map<int, RefLine>& lines, int id) {
+  lines.erase(id);
+  index.Erase(id);
+}
+
 /// Drives the index and the reference through `steps` random mutations and
 /// queries over ids in [0, max_id) and asserts identical answers throughout.
 void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
@@ -88,16 +129,9 @@ void RunRandomizedTrace(KineticIndex::EvalMode mode, int max_id, int steps,
       index.Erase(id);
     } else {  // query at an advanced clock
       now += anchor_dist(rng) * 0.3;
-      double expected_priority = 0.0;
-      const int expected =
-          ReferenceArgMax(reference, mode, now, &expected_priority);
-      double actual_priority = 0.0;
-      const int actual = index.ArgMax(now, &actual_priority);
-      ASSERT_EQ(actual, expected) << "step " << step << " now=" << now;
-      if (expected >= 0) {
-        // Exact equality: both sides must use the same arithmetic.
-        ASSERT_EQ(actual_priority, expected_priority) << "step " << step;
-      }
+      int winner = -1;
+      ASSERT_TRUE(QueryMatches(index, reference, mode, now, &winner))
+          << "step " << step;
     }
     ASSERT_EQ(index.size(), static_cast<int>(reference.size()));
   }
@@ -184,6 +218,223 @@ TEST(KineticIndexTest, ClearEmptiesBothModes) {
     EXPECT_EQ(index.ArgMax(5.0), -1);
     index.Insert(3, 0.0, 1.0);
     EXPECT_EQ(index.ArgMax(5.0), 3);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mutation-time path replay: Insert and Erase re-decide their leaf-to-root
+// path at the latest query time, so every later query must still match the
+// scan bit for bit.
+
+/// The engine's pattern on a tree-sized index: every pick re-keys the
+/// returned winner to a later anchor (its next queued tuple, possibly past
+/// the clock) or erases it (queue drained); arrivals insert lines anchored
+/// at the clock, sometimes in bursts; and some steps mutate between two
+/// queries at the same clock.
+void RunEngineTrace(KineticIndex::EvalMode mode, int capacity, int steps,
+                    uint64_t seed) {
+  KineticIndex index(mode);
+  index.Reserve(capacity);
+  ASSERT_FALSE(index.dense());
+  std::map<int, RefLine> lines;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> id_dist(0, capacity - 1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> coef_dist(0.01, 5.0);
+  std::uniform_int_distribution<int> tie_dist(0, 1);
+  std::uniform_int_distribution<int> op_dist(0, 9);
+  auto random_line = [&](double anchor) {
+    return RefLine{anchor, coef_dist(rng), static_cast<double>(tie_dist(rng))};
+  };
+  for (int i = 0; i < capacity / 2; ++i) {
+    Put(index, lines, id_dist(rng), random_line(unit(rng)));
+  }
+  double now = 1.0;
+  int winner = -1;
+  for (int step = 0; step < steps; ++step) {
+    const int op = op_dist(rng);
+    if (op < 6) {  // pick, then re-key or erase the winner
+      if (op > 0) now += 0.01 * unit(rng);  // op 0 re-picks at the same clock
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+          << "step " << step;
+      if (winner < 0) continue;
+      if (unit(rng) < 0.25) {
+        Drop(index, lines, winner);
+      } else {
+        RefLine line = lines[winner];
+        line.anchor += 0.02 * unit(rng);
+        Put(index, lines, winner, line);
+      }
+    } else if (op < 8) {  // one arrival, or a burst anchored at the clock
+      const int arrivals = op == 6 ? 1 : 2 + static_cast<int>(6 * unit(rng));
+      for (int k = 0; k < arrivals; ++k) {
+        const int id = id_dist(rng);
+        if (lines.count(id) == 0) Put(index, lines, id, random_line(now));
+      }
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+          << "step " << step;
+    } else {  // mutations between two queries at the same clock
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+          << "step " << step;
+      for (int k = 0; k < 3; ++k) {
+        const int id = id_dist(rng);
+        if (op == 8) {
+          Put(index, lines, id, random_line(now - 0.05 * unit(rng)));
+        } else {
+          Drop(index, lines, id);
+        }
+      }
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+          << "step " << step;
+    }
+  }
+}
+
+TEST(KineticIndexTest, EagerReplayEngineTraceRatio) {
+  for (const int capacity : {512, 4096}) {
+    RunEngineTrace(KineticIndex::EvalMode::kRatio, capacity, 6000,
+                   0x51 + static_cast<uint64_t>(capacity));
+  }
+}
+
+TEST(KineticIndexTest, EagerReplayEngineTraceScaled) {
+  for (const int capacity : {512, 4096}) {
+    RunEngineTrace(KineticIndex::EvalMode::kScaled, capacity, 6000,
+                   0x52 + static_cast<uint64_t>(capacity));
+  }
+}
+
+TEST(KineticIndexTest, ZeroPriorityBurstGoesToSmallestTieThenId) {
+  // A burst anchored at the next query time is replayed at the previous
+  // query time, where every new line is still negative and the flatter one
+  // wins each match. At the query all of them sit at p = 0, so the answer
+  // must be the smallest (tie, id) — and stay so while the winners are
+  // popped one by one at that same clock.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    for (const int capacity : {512, 4096}) {
+      KineticIndex index(mode);
+      index.Reserve(capacity);
+      std::map<int, RefLine> lines;
+      std::mt19937_64 rng(0x2E0 + static_cast<uint64_t>(capacity));
+      std::uniform_int_distribution<int> id_dist(0, capacity - 1);
+      std::uniform_real_distribution<double> coef_dist(0.01, 5.0);
+      std::uniform_int_distribution<int> tie_dist(0, 2);
+      int winner = -1;
+      for (int i = 0; i < 50; ++i) {
+        Put(index, lines, id_dist(rng), RefLine{0.0, coef_dist(rng), 0.0});
+      }
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+      while (!lines.empty()) Drop(index, lines, lines.begin()->first);
+      for (int i = 0; i < 200; ++i) {
+        Put(index, lines, id_dist(rng),
+            RefLine{2.0, coef_dist(rng), static_cast<double>(tie_dist(rng))});
+      }
+      int popped = 0;
+      while (!lines.empty()) {
+        ASSERT_TRUE(QueryMatches(index, lines, mode, 2.0, &winner));
+        // Every remaining line ties at p = 0: each next winner must come
+        // later in (tie, id) order than the one before.
+        if (popped++ % 3 == 0) {
+          Drop(index, lines, winner);
+        } else {
+          RefLine line = lines[winner];
+          line.anchor = 2.5;  // re-keyed behind the clock's burst
+          Put(index, lines, winner, line);
+          ASSERT_TRUE(QueryMatches(index, lines, mode, 2.0, &winner));
+          Drop(index, lines, winner);
+        }
+      }
+      EXPECT_EQ(index.ArgMax(2.0), -1);
+    }
+  }
+}
+
+TEST(KineticIndexTest, GrowthAndClearWithLiveLines) {
+  // Growth past capacity rebuilds the tree around the live lines at the
+  // latest query time; Clear resets only the live lines' nodes. Afterwards
+  // every mutation replays exactly its own path, and every query must
+  // answer exactly like the scan.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    for (const int capacity : {512, 4096}) {
+      KineticIndex index(mode);
+      index.Reserve(capacity);
+      std::map<int, RefLine> lines;
+      std::mt19937_64 rng(0x6E0 + static_cast<uint64_t>(capacity));
+      std::uniform_int_distribution<int> id_dist(0, capacity - 1);
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      auto random_line = [&](double anchor) {
+        return RefLine{anchor, 0.01 + 5.0 * unit(rng),
+                       static_cast<double>(static_cast<int>(3 * unit(rng)))};
+      };
+      int winner = -1;
+      for (int i = 0; i < capacity / 2; ++i) {
+        Put(index, lines, id_dist(rng), random_line(unit(rng)));
+      }
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+      // Grow: an id past capacity doubles the leaf row under the live
+      // lines, which are then re-keyed, erased and joined by more.
+      Put(index, lines, capacity + 3, random_line(1.0));
+      for (int i = 0; i < 40; ++i) {
+        const int id = id_dist(rng);
+        if (i % 4 == 0) {
+          Drop(index, lines, id);
+        } else {
+          Put(index, lines, id, random_line(1.0 + 0.1 * unit(rng)));
+        }
+      }
+      Drop(index, lines, winner);
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.05, &winner));
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
+      // Clear and re-insert everything: each line replays one path of the
+      // grown tree (2 * capacity leaves) and nothing else.
+      const std::map<int, RefLine> kept = lines;
+      index.Clear();
+      lines.clear();
+      for (const auto& [id, line] : kept) EXPECT_FALSE(index.Contains(id));
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
+      int depth = 0;
+      for (int leaves = 2 * capacity; leaves > 1; leaves >>= 1) ++depth;
+      const int64_t before = index.node_recomputes();
+      for (const auto& [id, line] : kept) Put(index, lines, id, line);
+      EXPECT_EQ(index.node_recomputes() - before,
+                depth * static_cast<int64_t>(kept.size()));
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
+      Put(index, lines, winner, random_line(1.3));
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.4, &winner));
+      // The resync pattern of a sharded run: clear, then a line or two.
+      index.Clear();
+      lines.clear();
+      Put(index, lines, capacity + 3, random_line(1.45));
+      Put(index, lines, 7, random_line(1.35));
+      ASSERT_TRUE(QueryMatches(index, lines, mode, 1.5, &winner));
+    }
+  }
+}
+
+TEST(KineticIndexTest, ReserveRestartsTheClock) {
+  // Schedulers call Reserve once per run, and a new run's clock starts
+  // over. Lines inserted after it must be matched at the new clock, not at
+  // the previous run's last query time.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
+    index.Reserve(500);
+    index.Insert(1, 0.0, 1.0);
+    EXPECT_EQ(index.ArgMax(100.0), 1);
+    index.Reserve(500);
+    std::map<int, RefLine> lines;
+    Put(index, lines, 0, RefLine{0.0, 1.0, 0.0});
+    // Steeper in either mode; it overtakes line 0 only after t = 1.
+    Put(index, lines, 400,
+        mode == KineticIndex::EvalMode::kRatio ? RefLine{0.95, 0.1, 0.0}
+                                               : RefLine{0.95, 10.0, 0.0});
+    int winner = -1;
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    EXPECT_EQ(winner, 0);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 2.0, &winner));
+    EXPECT_EQ(winner, 400);
   }
 }
 
