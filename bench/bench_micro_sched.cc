@@ -525,9 +525,9 @@ int Main(int argc, char** argv) {
   const Clock::time_point suite_start = Clock::now();
   std::vector<BenchResult> results;
 
-  // PickNext churn: n=60 runs the kinetic index in dense mode, n=500 in
-  // tournament-tree mode (the dense fast path caps at
-  // sched::KineticIndex::kDenseMaxCapacity = 128 slots).
+  // PickNext churn keeps every unit ready: n=60 runs the kinetic index in
+  // dense mode, n=500 in tournament-tree mode (the dense fast path holds at
+  // most sched::KineticIndex::kDenseMaxCapacity = 128 live lines).
   const int64_t pick_ops = quick ? 20000 : 200000;
   for (const int n : {60, 500}) {
     if (quick && n == 500) continue;

@@ -10,16 +10,15 @@ namespace aqsios::sched {
 void KineticIndex::Reserve(int max_ids) {
   int capacity = 1;
   while (capacity < max_ids) capacity <<= 1;
-  dense_ = capacity <= kDenseMaxCapacity;
+  dense_ = true;
   last_time_ = 0.0;
   capacity_ = capacity;
-  const size_t leaves = static_cast<size_t>(capacity_);
   dense_ids_.clear();
-  dense_pos_.assign(leaves, -1);
+  dense_pos_.assign(static_cast<size_t>(capacity_), -1);
   dense_anchor_.clear();
   dense_coef_.clear();
   dense_tie_.clear();
-  nodes_.assign(dense_ ? 0 : leaves * 2, Node{});
+  nodes_.clear();
   size_ = 0;
 }
 
@@ -30,7 +29,8 @@ void KineticIndex::Clear() {
   dense_anchor_.clear();
   dense_coef_.clear();
   dense_tie_.clear();
-  if (!nodes_.empty()) ClearSubtree(1);
+  if (!dense_) ClearSubtree(1);
+  dense_ = true;
   size_ = 0;
 }
 
@@ -46,41 +46,58 @@ void KineticIndex::ClearSubtree(size_t node) {
   }
 }
 
-void KineticIndex::Rebuild(int new_capacity) {
-  const size_t leaves = static_cast<size_t>(new_capacity);
-  const int old_capacity = capacity_;
-  dense_pos_.resize(leaves, -1);
-  capacity_ = new_capacity;
-  if (capacity_ <= kDenseMaxCapacity) {
-    // Still small: stay dense — the live-id list and lines carry over.
-    return;
-  }
-  // Tree territory: lay the live lines out as leaves of the new capacity,
-  // from the packed dense arrays or the old tree's leaf row, and build the
-  // tree bottom-up at the latest query time.
-  std::vector<Node> nodes(leaves * 2, Node{});
+void KineticIndex::AppendDense(int id, double anchor, double coef,
+                               double tie) {
+  dense_pos_[static_cast<size_t>(id)] = static_cast<int>(dense_ids_.size());
+  dense_ids_.push_back(id);
+  dense_anchor_.push_back(anchor);
+  dense_coef_.push_back(coef);
+  dense_tie_.push_back(tie);
+}
+
+void KineticIndex::BuildTree(int capacity) {
+  const size_t leaves = static_cast<size_t>(capacity);
   if (dense_) {
+    // Dense mode keeps every node empty, so only the live leaves are
+    // written; the packed arrays empty into them.
+    nodes_.resize(leaves * 2);
     for (size_t pos = 0; pos < dense_ids_.size(); ++pos) {
+      const int id = dense_ids_[pos];
       const double coef = dense_coef_[pos];
-      nodes[leaves + static_cast<size_t>(dense_ids_[pos])].line =
+      nodes_[leaves + static_cast<size_t>(id)].line =
           Line{dense_anchor_[pos], coef,
                mode_ == EvalMode::kRatio ? 1.0 / coef : coef, dense_tie_[pos],
-               dense_ids_[pos]};
+               id};
+      dense_pos_[static_cast<size_t>(id)] = -1;
     }
     dense_ = false;
     dense_ids_.clear();
     dense_anchor_.clear();
     dense_coef_.clear();
     dense_tie_.clear();
-    std::fill(dense_pos_.begin(), dense_pos_.end(), -1);
   } else {
-    std::copy(nodes_.begin() + old_capacity, nodes_.begin() + 2 * old_capacity,
-              nodes.begin() + capacity_);
+    // Growth: the old leaf row moves to the front of the new one.
+    std::vector<Node> nodes(leaves * 2, Node{});
+    std::copy(nodes_.begin() + capacity_, nodes_.begin() + 2 * capacity_,
+              nodes.begin() + capacity);
+    nodes_.swap(nodes);
   }
-  nodes_.swap(nodes);
+  capacity_ = capacity;
+  dense_pos_.resize(leaves, -1);
   for (size_t node = leaves - 1; node >= 1; --node) {
     RecomputeNode(node, last_time_);
   }
+}
+
+void KineticIndex::CollectLines(size_t node) {
+  const Line& line = nodes_[node].line;
+  if (line.id < 0) return;
+  if (node >= static_cast<size_t>(capacity_)) {
+    AppendDense(line.id, line.anchor, line.coef, line.tie);
+    return;
+  }
+  CollectLines(node << 1);
+  CollectLines((node << 1) | 1);
 }
 
 void KineticIndex::Insert(int id, double anchor, double coef,
@@ -90,17 +107,18 @@ void KineticIndex::Insert(int id, double anchor, double coef,
   if (id >= capacity_) {
     int capacity = capacity_ == 0 ? 1 : capacity_;
     while (capacity <= id) capacity <<= 1;
-    Rebuild(capacity);
+    if (dense_) {
+      capacity_ = capacity;
+      dense_pos_.resize(static_cast<size_t>(capacity), -1);
+    } else {
+      BuildTree(capacity);
+    }
   }
   const size_t slot = static_cast<size_t>(id);
   if (dense_) {
     if (dense_pos_[slot] < 0) {
-      ++size_;
-      dense_pos_[slot] = static_cast<int>(dense_ids_.size());
-      dense_ids_.push_back(id);
-      dense_anchor_.push_back(anchor);
-      dense_coef_.push_back(coef);
-      dense_tie_.push_back(tie_key);
+      AppendDense(id, anchor, coef, tie_key);
+      if (++size_ > kDenseMaxCapacity) BuildTree(capacity_);
     } else {
       const size_t pos = static_cast<size_t>(dense_pos_[slot]);
       dense_anchor_[pos] = anchor;
@@ -137,7 +155,16 @@ void KineticIndex::Erase(int id) {
   }
   size_t node = static_cast<size_t>(capacity_ + id);
   nodes_[node].line.id = -1;
-  ReplayPath(node);
+  if (size_ <= kDenseMinLines) {
+    // Back to dense. The path is not replayed: its nodes still name the
+    // erased line, so both walks visit them, find the empty leaf, and
+    // ClearSubtree resets them with the rest.
+    CollectLines(1);
+    ClearSubtree(1);
+    dense_ = true;
+  } else {
+    ReplayPath(node);
+  }
 }
 
 void KineticIndex::RecomputeNode(size_t node, double t) {

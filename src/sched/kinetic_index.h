@@ -20,12 +20,18 @@
 // Clear resets only the non-empty nodes, so clearing a sparse tree costs its
 // live lines rather than its capacity.
 //
-// The index is a hybrid: up to kDenseMaxCapacity slots it skips the tree
-// entirely and answers ArgMax with one exact evaluation per live line over
-// a flat array (see kDenseMaxCapacity for why small n favours that), then
-// switches to the tournament when it grows past the threshold. Both paths
-// implement identical semantics; which one answers is invisible to callers
-// except through dense()/node_recomputes().
+// The index is a hybrid that picks its mode from its live lines, not its
+// capacity. It starts dense: no tree at all, and ArgMax is one exact
+// evaluation per live line over flat arrays (see kDenseMaxCapacity for why
+// small n favours that). An insert that takes it past kDenseMaxCapacity
+// live lines builds the tournament bottom-up at the latest query time; an
+// erase that leaves kDenseMinLines or fewer moves the survivors back into
+// the flat arrays; Clear returns it to dense. The gap between the two
+// thresholds keeps a live count hovering near one of them from switching
+// back and forth. So an index sized for a whole plan but holding a handful
+// of ready units (a shard engine of an elastic run) never replays tree
+// paths. Both modes implement identical semantics; which one answers is
+// invisible to callers except through dense()/node_recomputes().
 //
 // Bit-identical contract: the index must return exactly the unit the linear
 // scan in basic_policies.cc / clustered_bsd.cc would return, including its
@@ -77,12 +83,13 @@ class KineticIndex {
 
   explicit KineticIndex(EvalMode mode) : mode_(mode) {}
 
-  /// Pre-sizes the tree for ids in [0, max_ids), clears it and restarts its
-  /// clock (a new run may start earlier than the last query). The index
-  /// grows on demand if a larger id is inserted later.
+  /// Pre-sizes the index for ids in [0, max_ids), empties it into dense
+  /// mode and restarts its clock (a new run may start earlier than the last
+  /// query). The index grows on demand if a larger id is inserted later.
   void Reserve(int max_ids);
 
-  /// Removes all entries (capacity and clock are kept).
+  /// Removes all entries and returns to dense mode (capacity and clock are
+  /// kept).
   void Clear();
 
   /// Inserts id with the given line, or re-keys it if already present.
@@ -107,14 +114,6 @@ class KineticIndex {
   /// non-decreasing across calls (the simulation clock is monotone).
   int ArgMax(SimTime now, double* priority = nullptr);
 
-  /// The priority the scan formula assigns to `id` at time `t` (test aid).
-  double EvalAt(int id, SimTime t) const {
-    const size_t slot = static_cast<size_t>(id);
-    if (!dense_) return Eval(nodes_[capacity_ + slot].line, t);
-    const size_t pos = static_cast<size_t>(dense_pos_[slot]);
-    return Eval(Line{dense_anchor_[pos], dense_coef_[pos]}, t);
-  }
-
   /// Internal-node recomputations since construction — the work an ArgMax /
   /// Insert / Erase actually did (test + benchmark introspection; a valid
   /// root certificate makes ArgMax O(1)). Always 0 while the index is in
@@ -131,16 +130,25 @@ class KineticIndex {
   /// instead of degenerating into rebuild-the-world.
   int64_t clears() const { return clears_; }
 
-  /// Largest capacity served by the dense fast path. Below this size the
-  /// tournament's ~log n match replays per re-key cost more than simply
-  /// evaluating every line over a flat array (a pick re-keys the picked
-  /// unit, which was the winner of every match on its leaf-to-root path, so
-  /// the whole path must be replayed — certificates cannot save it).
+  /// Most live lines the dense mode holds; one more builds the tree. Below
+  /// this count the tournament's ~log n match replays per re-key cost more
+  /// than simply evaluating every line over a flat array (a pick re-keys the
+  /// picked unit, which was the winner of every match on its leaf-to-root
+  /// path, so the whole path must be replayed — certificates cannot save
+  /// it).
   /// Measured on recorded §8 testbed index traces (docs/performance.md):
   /// BSD's crossover lies between 128 and 200 queries (dense 699 vs tree
   /// 714 ticks per pick at 128, 959 vs 812 at 200); LSF's divide-per-line
   /// scan already loses to the tree at 60 queries (417 vs 311).
+  /// The count is live lines, not capacity: an index reserved for 1024 ids
+  /// that holds two ready units scans two lines. One threshold serves both
+  /// eval modes (docs/performance.md, "The dense small-n mode").
   static constexpr int kDenseMaxCapacity = 128;
+
+  /// An erase that leaves this many live lines or fewer returns the index
+  /// to dense mode; a quarter of kDenseMaxCapacity, so a tree is only torn
+  /// down after most of the lines that built it are gone.
+  static constexpr int kDenseMinLines = 32;
 
  private:
   /// A line p(t) and its owner. `slope` is d p / d t: 1/coef (kRatio) or
@@ -180,9 +188,18 @@ class KineticIndex {
   /// Recurses only into expired children.
   bool RefreshNode(size_t node, double now);
 
-  /// Moves to a new leaf capacity (power of two): stays dense while small,
-  /// otherwise lays the live lines out as leaves and builds the tree.
-  void Rebuild(int new_capacity);
+  /// Lays the live lines out as the leaves of a `capacity`-leaf tree (from
+  /// the packed dense arrays or the current tree's leaf row) and builds the
+  /// tree bottom-up at last_time_. Serves both the dense-to-tree switch and
+  /// tree growth past capacity.
+  void BuildTree(int capacity);
+
+  /// Appends every live leaf under `node` to the packed dense arrays,
+  /// walking only non-empty subtrees (the tree-to-dense switch).
+  void CollectLines(size_t node);
+
+  /// Appends one line to the packed dense arrays (size_ is the caller's).
+  void AppendDense(int id, double anchor, double coef, double tie);
 
   /// Resets every non-empty node under `node` to empty.
   void ClearSubtree(size_t node);
@@ -193,7 +210,7 @@ class KineticIndex {
   int DenseArgMax(SimTime now, double* priority);
 
   EvalMode mode_;
-  bool dense_ = true;  // small indexes start dense; Reserve/growth decide
+  bool dense_ = true;  // the live count decides; see kDenseMaxCapacity
   int capacity_ = 0;  // leaf slots, power of two (0 until first Reserve)
   int size_ = 0;
   /// Latest ArgMax query time; Insert, Erase and growth evaluate their
@@ -202,11 +219,14 @@ class KineticIndex {
   int64_t node_recomputes_ = 0;
   int64_t clears_ = 0;
 
+  /// Tree mode: 2 * capacity_ nodes. Dense mode: every node empty (sized
+  /// for an earlier tree, or not at all), so the next switch writes leaves
+  /// only.
   std::vector<Node> nodes_;
-  /// Dense mode only: the live ids in arbitrary order (swap-removed), each
-  /// id's position in that list (-1 when absent), and the live lines packed
-  /// in the same order as parallel arrays — the ArgMax scan walks contiguous
-  /// memory with no per-element indirection.
+  /// Dense mode: the live ids in arbitrary order (swap-removed), each id's
+  /// position in that list (-1 when absent; -1 for every id in tree mode),
+  /// and the live lines packed in the same order as parallel arrays — the
+  /// ArgMax scan walks contiguous memory with no per-element indirection.
   std::vector<int> dense_ids_;
   std::vector<int> dense_pos_;
   std::vector<double> dense_anchor_;

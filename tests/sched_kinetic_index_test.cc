@@ -1,6 +1,6 @@
 // KineticIndex correctness: randomized equivalence against a brute-force
-// reference (both eval modes, dense and tournament-tree regimes, and the
-// dense-to-tree growth switch), the tree's mutation-time path replay under
+// reference (both eval modes, dense and tournament-tree regimes, and live
+// counts that walk across both mode thresholds), the tree's mutation-time path replay under
 // the engine's pick/re-key pattern, same-clock mutations, zero-priority tie
 // bursts, growth and Clear with live lines, golden-trace equivalence of
 // the kinetic schedulers against their naive scan twins (picks *and*
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -147,7 +148,8 @@ TEST(KineticIndexTest, RandomizedTraceDenseScaled) {
 }
 
 TEST(KineticIndexTest, RandomizedTraceTreeRatio) {
-  // max_id 600 forces the tournament tree (capacity 1024 > 128).
+  // max_id 600 settles near 430 live lines: after the first ~130 inserts
+  // the trace runs in the tournament tree.
   RunRandomizedTrace(KineticIndex::EvalMode::kRatio, 600, 4000, 0xC3, true);
 }
 
@@ -156,35 +158,86 @@ TEST(KineticIndexTest, RandomizedTraceTreeScaled) {
 }
 
 TEST(KineticIndexTest, RandomizedTraceGrowthSwitch) {
-  // No Reserve: the index starts dense at capacity 1 and crosses into tree
-  // mode mid-trace when an id past kDenseMaxCapacity arrives.
+  // No Reserve: the index starts dense at capacity 1, grows while dense and
+  // crosses into tree mode mid-trace once more than kDenseMaxCapacity lines
+  // are live.
   RunRandomizedTrace(KineticIndex::EvalMode::kScaled, 400, 4000, 0xE5, false);
 }
 
-TEST(KineticIndexTest, DenseModeFlagTracksCapacity) {
-  KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(60);
-  EXPECT_TRUE(index.dense());
-  index.Insert(5, 0.0, 1.0);
-  EXPECT_EQ(index.ArgMax(1.0), 5);
-  EXPECT_EQ(index.node_recomputes(), 0) << "dense mode keeps no tree";
-  // Inserting an id past the dense cap flips the index to the tournament;
-  // the existing entry must survive the switch.
-  index.Insert(KineticIndex::kDenseMaxCapacity + 1, 0.0, 2.0);
-  EXPECT_FALSE(index.dense());
-  EXPECT_EQ(index.size(), 2);
-  EXPECT_EQ(index.ArgMax(1.0), KineticIndex::kDenseMaxCapacity + 1);
-  index.Erase(KineticIndex::kDenseMaxCapacity + 1);
-  EXPECT_EQ(index.ArgMax(1.0), 5);
+/// A line that beats `Filler` at every t > 0 in `mode`: both anchored at 0,
+/// this one twice as steep.
+RefLine Steep(KineticIndex::EvalMode mode) {
+  return RefLine{0.0, mode == KineticIndex::EvalMode::kRatio ? 0.5 : 2.0, 0.0};
+}
+RefLine Filler() { return RefLine{0.0, 1.0, 0.0}; }
+
+TEST(KineticIndexTest, DenseModeFlagTracksLiveCount) {
+  // The mode follows the live lines, not the capacity: dense up to
+  // kDenseMaxCapacity of them, the tree from one more, and dense again once
+  // an erase leaves kDenseMinLines or fewer. Each switch keeps every line
+  // and is checked between two queries at the same clock.
+  constexpr int kMax = KineticIndex::kDenseMaxCapacity;
+  constexpr int kMin = KineticIndex::kDenseMinLines;
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
+    index.Reserve(1024);
+    EXPECT_TRUE(index.dense());
+    std::map<int, RefLine> lines;
+    int winner = -1;
+    Put(index, lines, 5, Steep(mode));
+    for (int id = 200; index.size() < kMax; ++id) {
+      Put(index, lines, id, Filler());
+    }
+    EXPECT_TRUE(index.dense());
+    EXPECT_EQ(index.size(), kMax);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    EXPECT_EQ(winner, 5);
+    EXPECT_EQ(index.node_recomputes(), 0) << "dense mode keeps no tree";
+    // One more live line builds the tree around all of them.
+    Put(index, lines, 1000, Filler());
+    EXPECT_FALSE(index.dense());
+    EXPECT_EQ(index.size(), kMax + 1);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    EXPECT_EQ(winner, 5);
+    const int64_t built = index.node_recomputes();
+    EXPECT_GT(built, 0);
+    // Falling back below kDenseMaxCapacity keeps the tree ...
+    while (index.size() > kMin + 1) Drop(index, lines, lines.rbegin()->first);
+    EXPECT_FALSE(index.dense());
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    EXPECT_EQ(winner, 5);
+    // ... until an erase leaves kDenseMinLines: the survivors move back into
+    // the flat arrays without a single match replay.
+    const int64_t before = index.node_recomputes();
+    Drop(index, lines, lines.rbegin()->first);
+    EXPECT_TRUE(index.dense());
+    EXPECT_EQ(index.size(), kMin);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    EXPECT_EQ(winner, 5);
+    EXPECT_EQ(index.node_recomputes(), before);
+    // Every filler ties: without line 5 the smallest filler id wins.
+    Drop(index, lines, 5);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 2.0, &winner));
+    EXPECT_EQ(winner, 200);
+    EXPECT_EQ(index.clears(), 0) << "a mode switch is not a Clear";
+  }
 }
 
-TEST(KineticIndexTest, ReserveAboveCapGoesStraightToTree) {
+TEST(KineticIndexTest, ReserveAboveCapStaysDenseUntilFilled) {
   KineticIndex index(KineticIndex::EvalMode::kRatio);
   index.Reserve(500);
-  EXPECT_FALSE(index.dense());
+  EXPECT_TRUE(index.dense()) << "capacity alone never builds the tree";
   index.Insert(400, 0.0, 2.0);
   index.Insert(7, 0.0, 4.0);
   // (now - 0) / 2 > (now - 0) / 4.
+  EXPECT_EQ(index.ArgMax(8.0), 400);
+  EXPECT_EQ(index.node_recomputes(), 0);
+  // Fillers that never win: (now - 0) / 8.
+  for (int id = 10; index.size() <= KineticIndex::kDenseMaxCapacity; ++id) {
+    index.Insert(id, 0.0, 8.0);
+  }
+  EXPECT_FALSE(index.dense());
   EXPECT_EQ(index.ArgMax(8.0), 400);
   EXPECT_GT(index.node_recomputes(), 0);
 }
@@ -193,11 +246,16 @@ TEST(KineticIndexTest, TreeCertificatesSuppressRecomputes) {
   // With static lines and a monotone clock, repeated queries after the first
   // must ride the root certificate (no recomputation) until a crossover.
   KineticIndex index(KineticIndex::EvalMode::kScaled);
-  index.Reserve(500);  // tree mode
+  index.Reserve(500);
   // Line A: 1.0 * (t - 0)  — wins early. Line B: 10 * (t - 9) — overtakes at
   // t = 10.
   index.Insert(0, 0.0, 1.0);
   index.Insert(300, 9.0, 10.0);
+  // Fillers 0.5 * (t - 0) never win, and put the index in tree mode.
+  for (int id = 1; index.size() <= KineticIndex::kDenseMaxCapacity; ++id) {
+    index.Insert(id, 0.0, 0.5);
+  }
+  ASSERT_FALSE(index.dense());
   EXPECT_EQ(index.ArgMax(9.5), 0);
   const int64_t after_first = index.node_recomputes();
   EXPECT_EQ(index.ArgMax(9.6), 0);
@@ -208,16 +266,148 @@ TEST(KineticIndexTest, TreeCertificatesSuppressRecomputes) {
 }
 
 TEST(KineticIndexTest, ClearEmptiesBothModes) {
-  for (const int reserve : {60, 500}) {
+  for (const bool tree : {false, true}) {
     KineticIndex index(KineticIndex::EvalMode::kScaled);
-    index.Reserve(reserve);
+    index.Reserve(500);
     index.Insert(1, 0.0, 1.0);
     index.Insert(2, 0.0, 2.0);
+    // In the tree case, fillers 0.5 * (t - 0) that never win.
+    for (int id = 100; tree && index.size() <= KineticIndex::kDenseMaxCapacity;
+         ++id) {
+      index.Insert(id, 0.0, 0.5);
+    }
+    ASSERT_EQ(index.dense(), !tree);
     index.Clear();
     EXPECT_TRUE(index.empty());
+    EXPECT_TRUE(index.dense());
+    EXPECT_FALSE(index.Contains(2));
+    EXPECT_FALSE(index.Contains(100));
     EXPECT_EQ(index.ArgMax(5.0), -1);
     index.Insert(3, 0.0, 1.0);
     EXPECT_EQ(index.ArgMax(5.0), 3);
+  }
+}
+
+/// Random-walks the live count across both mode thresholds: it climbs past
+/// kDenseMaxCapacity, falls to kDenseMinLines or below, and turns around
+/// again, `rounds` times, at random overshoots. Every mutation sits between
+/// two queries at the same clock, so each switch is checked bit for bit at
+/// the instant it happens, and dense() is checked against the rule after
+/// every mutation. Picks re-key or erase the winner, as the engine does.
+void RunThresholdWalk(KineticIndex::EvalMode mode, int capacity, int rounds,
+                      uint64_t seed) {
+  constexpr int kMax = KineticIndex::kDenseMaxCapacity;
+  constexpr int kMin = KineticIndex::kDenseMinLines;
+  KineticIndex index(mode);
+  index.Reserve(capacity);
+  std::map<int, RefLine> lines;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> id_dist(0, capacity - 1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> coef_dist(0.01, 5.0);
+  std::uniform_int_distribution<int> tie_dist(0, 1);
+  std::uniform_int_distribution<int> op_dist(0, 9);
+  std::uniform_int_distribution<int> overshoot_dist(0, 20);
+  bool expect_dense = true;
+  bool climbing = true;
+  int turn_at = kMax + overshoot_dist(rng);
+  int ups = 0;
+  int downs = 0;
+  double now = 0.0;
+  int winner = -1;
+  for (int step = 0; downs < rounds; ++step) {
+    ASSERT_LT(step, 100000) << "the walk stopped crossing the thresholds";
+    const int live = static_cast<int>(lines.size());
+    if (climbing && live > turn_at) {
+      climbing = false;
+      turn_at = kMin - overshoot_dist(rng);
+    } else if (!climbing && live <= turn_at) {
+      climbing = true;
+      turn_at = kMax + overshoot_dist(rng);
+    }
+    if (op_dist(rng) > 0) now += 0.01 * unit(rng);
+    ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+        << "step " << step;
+    const int op = op_dist(rng);
+    if (op < 2 && winner >= 0) {  // the pick's re-key
+      RefLine line = lines[winner];
+      line.anchor += 0.02 * unit(rng);
+      Put(index, lines, winner, line);
+    } else if (op < (climbing ? 8 : 4)) {  // an arrival, maybe a re-key
+      Put(index, lines, id_dist(rng),
+          RefLine{now - 0.05 * unit(rng) + 0.01, coef_dist(rng),
+                  static_cast<double>(tie_dist(rng))});
+    } else if (!lines.empty()) {  // a drained queue: the winner or any line
+      auto it = lines.begin();
+      if (op == 9) {
+        it = lines.find(winner);
+      } else {
+        std::advance(it, std::uniform_int_distribution<int>(
+                             0, static_cast<int>(lines.size()) - 1)(rng));
+      }
+      Drop(index, lines, it->first);
+    }
+    if (expect_dense && index.size() > kMax) {
+      expect_dense = false;
+      ++ups;
+    } else if (!expect_dense && index.size() <= kMin) {
+      expect_dense = true;
+      ++downs;
+    }
+    ASSERT_EQ(index.dense(), expect_dense)
+        << "step " << step << ", " << index.size() << " live lines";
+    ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+        << "step " << step;
+  }
+  EXPECT_EQ(ups, rounds);
+  EXPECT_EQ(index.clears(), 0);
+}
+
+TEST(KineticIndexTest, RandomizedTraceThresholdWalkRatio) {
+  for (const int capacity : {512, 4096}) {
+    RunThresholdWalk(KineticIndex::EvalMode::kRatio, capacity, 5,
+                     0x71 + static_cast<uint64_t>(capacity));
+  }
+}
+
+TEST(KineticIndexTest, RandomizedTraceThresholdWalkScaled) {
+  for (const int capacity : {512, 4096}) {
+    RunThresholdWalk(KineticIndex::EvalMode::kScaled, capacity, 5,
+                     0x72 + static_cast<uint64_t>(capacity));
+  }
+}
+
+TEST(KineticIndexTest, ResyncOfALargeIndexStaysDense) {
+  // A shard engine of an elastic run sizes its index for the whole plan but
+  // owns a ready unit or two: each resync (Clear, then re-insert the owned
+  // units) must leave it scanning those lines, not replaying tree paths.
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
+    index.Reserve(1024);
+    std::map<int, RefLine> lines;
+    int winner = -1;
+    for (int id = 0; index.size() <= KineticIndex::kDenseMaxCapacity;
+         id += 7) {
+      Put(index, lines, id, RefLine{0.1 * (id % 5), 1.0 + id % 3, 0.0});
+    }
+    ASSERT_FALSE(index.dense());
+    ASSERT_TRUE(QueryMatches(index, lines, mode, 1.0, &winner));
+    double now = 1.0;
+    for (int resync = 0; resync < 4; ++resync) {
+      index.Clear();
+      lines.clear();
+      const int64_t before = index.node_recomputes();
+      Put(index, lines, 1000 - resync, RefLine{now - 0.3, 2.0, 0.0});
+      if (resync % 2 == 0) Put(index, lines, 3, RefLine{now - 0.1, 0.5, 0.0});
+      EXPECT_TRUE(index.dense());
+      now += 0.1;
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner));
+      Put(index, lines, winner, RefLine{now, 1.0, 0.0});
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner));
+      EXPECT_TRUE(index.dense());
+      EXPECT_EQ(index.node_recomputes(), before);
+    }
   }
 }
 
@@ -235,7 +425,6 @@ void RunEngineTrace(KineticIndex::EvalMode mode, int capacity, int steps,
                     uint64_t seed) {
   KineticIndex index(mode);
   index.Reserve(capacity);
-  ASSERT_FALSE(index.dense());
   std::map<int, RefLine> lines;
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> id_dist(0, capacity - 1);
@@ -249,6 +438,7 @@ void RunEngineTrace(KineticIndex::EvalMode mode, int capacity, int steps,
   for (int i = 0; i < capacity / 2; ++i) {
     Put(index, lines, id_dist(rng), random_line(unit(rng)));
   }
+  ASSERT_FALSE(index.dense());
   double now = 1.0;
   int winner = -1;
   for (int step = 0; step < steps; ++step) {
@@ -352,9 +542,11 @@ TEST(KineticIndexTest, ZeroPriorityBurstGoesToSmallestTieThenId) {
 
 TEST(KineticIndexTest, GrowthAndClearWithLiveLines) {
   // Growth past capacity rebuilds the tree around the live lines at the
-  // latest query time; Clear resets only the live lines' nodes. Afterwards
-  // every mutation replays exactly its own path, and every query must
-  // answer exactly like the scan.
+  // latest query time; Clear resets only the live lines' nodes and returns
+  // the index to dense mode. Re-inserting the lines builds the tree once,
+  // when the live count passes kDenseMaxCapacity; afterwards every mutation
+  // replays exactly its own path, and every query must answer exactly like
+  // the scan.
   for (const auto mode :
        {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
     for (const int capacity : {512, 4096}) {
@@ -387,19 +579,27 @@ TEST(KineticIndexTest, GrowthAndClearWithLiveLines) {
       Drop(index, lines, winner);
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.05, &winner));
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
-      // Clear and re-insert everything: each line replays one path of the
-      // grown tree (2 * capacity leaves) and nothing else.
+      // Clear and re-insert everything: the first kDenseMaxCapacity lines
+      // go into the flat arrays, the next one builds the grown tree
+      // (2 * capacity leaves, one match per internal node), and each line
+      // after it replays its own path and nothing else.
       const std::map<int, RefLine> kept = lines;
+      ASSERT_GT(kept.size(),
+                static_cast<size_t>(KineticIndex::kDenseMaxCapacity) + 1);
       index.Clear();
       lines.clear();
+      EXPECT_TRUE(index.dense());
       for (const auto& [id, line] : kept) EXPECT_FALSE(index.Contains(id));
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
       int depth = 0;
       for (int leaves = 2 * capacity; leaves > 1; leaves >>= 1) ++depth;
       const int64_t before = index.node_recomputes();
       for (const auto& [id, line] : kept) Put(index, lines, id, line);
+      EXPECT_FALSE(index.dense());
+      const int64_t after_build = static_cast<int64_t>(kept.size()) -
+                                  (KineticIndex::kDenseMaxCapacity + 1);
       EXPECT_EQ(index.node_recomputes() - before,
-                depth * static_cast<int64_t>(kept.size()));
+                (2 * capacity - 1) + depth * after_build);
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.2, &winner));
       Put(index, lines, winner, random_line(1.3));
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.4, &winner));
@@ -408,6 +608,7 @@ TEST(KineticIndexTest, GrowthAndClearWithLiveLines) {
       lines.clear();
       Put(index, lines, capacity + 3, random_line(1.45));
       Put(index, lines, 7, random_line(1.35));
+      EXPECT_TRUE(index.dense());
       ASSERT_TRUE(QueryMatches(index, lines, mode, 1.5, &winner));
     }
   }
