@@ -11,7 +11,7 @@
 //     "queries": N, "arrivals": N, "seed": N, "reps": N,
 //     "total_wall_ms": W,
 //     "benchmarks": [
-//       { "name": "pick/lsf/n=60/kinetic=on", "ns_per_op": X,
+//       { "name": "pick/lsf/n=60", "ns_per_op": X,
 //         "ops": N, "wall_ms": W }, ...
 //     ]
 //   }
@@ -20,17 +20,15 @@
 // shared machine); ns_per_op = wall / ops of that repetition.
 //
 // The suite covers:
-//  * pick/<policy>/n=<units>/kinetic=<on|off> — steady-state PickNext churn
-//    against a synthetic ready set. n=60 exercises the kinetic index's dense
-//    small-n mode, n=500 its tournament tree (the O(log n) vs O(n)
-//    separation shows up as kinetic=on scaling far better from 60 to 500
-//    than kinetic=off). The on/off pick sequences are checksummed and must
-//    match exactly — the index is a drop-in replacement for the scan.
+//  * pick/<policy>/n=<units> — steady-state PickNext churn against a
+//    synthetic ready set. For LSF / BSD / clustered BSD, n=60 exercises the
+//    kinetic index's dense small-n mode and n=500 its tournament tree. (The
+//    index's equality with the naive scan is pinned by the ctest oracles in
+//    tests/scan_schedulers.h, not here.)
 //  * queue/... — TupleQueue (inline ring buffer) vs std::deque on the
 //    engine's shallow-queue churn pattern.
 //  * join/insert_probe — symmetric-hash-join insert+probe path.
-//  * sim/<policy>/q=<n>/kinetic=<on|off> — full Simulate cells on the §8
-//    testbed workload; on/off QoS results are checked for exact equality.
+//  * sim/<policy>/q=<n> — full Simulate cells on the §8 testbed workload.
 //  * sim/<policy>/q=<n>/ov=on/batch=<k> — overhead-charged Simulate cells
 //    across tuple-train batch sizes; each carries its deterministic virtual
 //    throughput (tuples_per_vsec), and batch>=8 must clear 1.5x the batch=1
@@ -147,7 +145,7 @@ void FillQueues(sched::UnitTable& units, sched::Scheduler& scheduler) {
 
 /// Steady-state pick churn: pick, dequeue the picked units, immediately
 /// re-enqueue them at the current clock. Returns a checksum of the pick
-/// sequence so kinetic on/off runs can be compared for exact equality.
+/// sequence, which keeps the picks observable to the optimizer.
 uint64_t PickChurn(sched::Scheduler& scheduler, sched::UnitTable& units,
                    int64_t ops) {
   FillQueues(units, scheduler);
@@ -177,7 +175,7 @@ uint64_t PickChurn(sched::Scheduler& scheduler, sched::UnitTable& units,
   return checksum;
 }
 
-sched::PolicyConfig PickPolicy(const std::string& policy, bool kinetic) {
+sched::PolicyConfig PickPolicy(const std::string& policy) {
   sched::PolicyConfig config;
   if (policy == "lsf") {
     config = sched::PolicyConfig::Of(sched::PolicyKind::kLsf);
@@ -186,7 +184,6 @@ sched::PolicyConfig PickPolicy(const std::string& policy, bool kinetic) {
   } else if (policy == "bsd-clustered") {
     config = sched::PolicyConfig::Of(sched::PolicyKind::kBsdClustered);
     config.clustered.num_clusters = 12;
-    config.clustered.use_kinetic_index = kinetic;
   } else if (policy == "rr") {
     config = sched::PolicyConfig::Of(sched::PolicyKind::kRoundRobin);
   } else if (policy == "hnr") {
@@ -194,46 +191,19 @@ sched::PolicyConfig PickPolicy(const std::string& policy, bool kinetic) {
   } else {
     AQSIOS_CHECK(false) << "unknown pick policy " << policy;
   }
-  config.use_kinetic_index = kinetic;
   return config;
 }
 
-/// Benchmarks PickNext churn for one (policy, n) cell. For the policies with
-/// a kinetic index the off-variant is run too and its pick sequence is
-/// checked to be identical.
+/// Benchmarks PickNext churn for one (policy, n) cell.
 void BenchPick(const std::string& policy, int n, int64_t ops, int reps,
-               bool has_kinetic, std::vector<BenchResult>* results) {
-  uint64_t checksum_on = 0;
-  {
-    sched::UnitTable units = MakeUnits(n);
-    auto scheduler = sched::CreateScheduler(PickPolicy(policy, true));
-    scheduler->Attach(&units);
-    checksum_on = PickChurn(*scheduler, units, ops);  // warm-up + checksum
-    std::ostringstream name;
-    name << "pick/" << policy << "/n=" << n
-         << (has_kinetic ? "/kinetic=on" : "");
-    results->push_back(RunTimed(name.str(), ops, reps, [&] {
-      sched::UnitTable fresh = MakeUnits(n);
-      auto s = sched::CreateScheduler(PickPolicy(policy, true));
-      s->Attach(&fresh);
-      KeepAlive(static_cast<int64_t>(PickChurn(*s, fresh, ops)));
-    }));
-  }
-  if (!has_kinetic) return;
-  sched::UnitTable units = MakeUnits(n);
-  auto scheduler = sched::CreateScheduler(PickPolicy(policy, false));
-  scheduler->Attach(&units);
-  const uint64_t checksum_off = PickChurn(*scheduler, units, ops);
-  AQSIOS_CHECK(checksum_on == checksum_off)
-      << "kinetic on/off pick sequences diverged for " << policy
-      << " at n=" << n;
+               std::vector<BenchResult>* results) {
   std::ostringstream name;
-  name << "pick/" << policy << "/n=" << n << "/kinetic=off";
+  name << "pick/" << policy << "/n=" << n;
   results->push_back(RunTimed(name.str(), ops, reps, [&] {
-    sched::UnitTable fresh = MakeUnits(n);
-    auto s = sched::CreateScheduler(PickPolicy(policy, false));
-    s->Attach(&fresh);
-    KeepAlive(static_cast<int64_t>(PickChurn(*s, fresh, ops)));
+    sched::UnitTable units = MakeUnits(n);
+    auto scheduler = sched::CreateScheduler(PickPolicy(policy));
+    scheduler->Attach(&units);
+    KeepAlive(static_cast<int64_t>(PickChurn(*scheduler, units, ops)));
   }));
 }
 
@@ -265,48 +235,19 @@ int64_t QueueChurn(int64_t ops) {
 // Simulate cells.
 
 core::RunResult SimCell(const query::Workload& workload,
-                        const std::string& policy, bool kinetic) {
-  sched::PolicyConfig config = PickPolicy(policy, kinetic);
+                        const std::string& policy) {
   core::SimulationOptions options;
   options.qos.track_per_class = false;
-  return core::Simulate(workload, config, options);
+  return core::Simulate(workload, PickPolicy(policy), options);
 }
 
-void CheckSameResults(const core::RunResult& a, const core::RunResult& b,
-                      const std::string& what) {
-  AQSIOS_CHECK(a.qos.tuples_emitted == b.qos.tuples_emitted &&
-               a.qos.avg_slowdown == b.qos.avg_slowdown &&
-               a.qos.max_slowdown == b.qos.max_slowdown &&
-               a.qos.l2_slowdown == b.qos.l2_slowdown &&
-               a.qos.avg_response == b.qos.avg_response)
-      << "kinetic on/off simulation results diverged for " << what;
-}
-
-/// Benchmarks one full-simulation cell; for kinetic-capable policies the
-/// off-variant runs too and both results are checked for exact equality.
+/// Benchmarks one full-simulation cell.
 void BenchSim(const query::Workload& workload, const std::string& policy,
-              int queries, int reps, bool has_kinetic,
-              std::vector<BenchResult>* results) {
-  const core::RunResult on = SimCell(workload, policy, true);
-  if (has_kinetic) {
-    const core::RunResult off = SimCell(workload, policy, false);
-    CheckSameResults(on, off, policy);
-  }
-  KeepAlive(static_cast<int64_t>(on.qos.tuples_emitted));
-  {
-    std::ostringstream name;
-    name << "sim/" << policy << "/q=" << queries
-         << (has_kinetic ? "/kinetic=on" : "");
-    results->push_back(RunTimed(name.str(), 1, reps, [&] {
-      const core::RunResult r = SimCell(workload, policy, true);
-      KeepAlive(static_cast<int64_t>(r.qos.tuples_emitted));
-    }));
-  }
-  if (!has_kinetic) return;
+              int queries, int reps, std::vector<BenchResult>* results) {
   std::ostringstream name;
-  name << "sim/" << policy << "/q=" << queries << "/kinetic=off";
+  name << "sim/" << policy << "/q=" << queries;
   results->push_back(RunTimed(name.str(), 1, reps, [&] {
-    const core::RunResult r = SimCell(workload, policy, false);
+    const core::RunResult r = SimCell(workload, policy);
     KeepAlive(static_cast<int64_t>(r.qos.tuples_emitted));
   }));
 }
@@ -316,7 +257,7 @@ void BenchSim(const query::Workload& workload, const std::string& policy,
 
 core::RunResult BatchedSimCell(const query::Workload& workload,
                                const std::string& policy, int batch) {
-  sched::PolicyConfig config = PickPolicy(policy, /*kinetic=*/true);
+  sched::PolicyConfig config = PickPolicy(policy);
   core::SimulationOptions options;
   options.qos.track_per_class = false;
   options.charge_scheduling_overhead = true;
@@ -419,7 +360,7 @@ query::Workload MakeKernelStressWorkload(int queries, int64_t arrivals) {
 
 core::RunResult KernelSimCell(const query::Workload& workload,
                               const std::string& policy, bool columnar) {
-  sched::PolicyConfig config = PickPolicy(policy, /*kinetic=*/true);
+  sched::PolicyConfig config = PickPolicy(policy);
   core::SimulationOptions options;
   options.qos.track_per_class = false;
   options.charge_scheduling_overhead = true;
@@ -531,12 +472,9 @@ int Main(int argc, char** argv) {
   const int64_t pick_ops = quick ? 20000 : 200000;
   for (const int n : {60, 500}) {
     if (quick && n == 500) continue;
-    BenchPick("lsf", n, pick_ops, reps, /*has_kinetic=*/true, &results);
-    BenchPick("bsd", n, pick_ops, reps, /*has_kinetic=*/true, &results);
-    BenchPick("bsd-clustered", n, pick_ops, reps, /*has_kinetic=*/true,
-              &results);
-    BenchPick("rr", n, pick_ops, reps, /*has_kinetic=*/false, &results);
-    BenchPick("hnr", n, pick_ops, reps, /*has_kinetic=*/false, &results);
+    for (const char* policy : {"lsf", "bsd", "bsd-clustered", "rr", "hnr"}) {
+      BenchPick(policy, n, pick_ops, reps, &results);
+    }
   }
 
   // TupleQueue vs std::deque on the engine's shallow-churn pattern.
@@ -577,11 +515,9 @@ int Main(int argc, char** argv) {
   config.seed = static_cast<uint64_t>(seed);
   config.utilization = 0.9;
   const query::Workload workload = query::GenerateWorkload(config);
-  BenchSim(workload, "lsf", queries, reps, /*has_kinetic=*/true, &results);
-  BenchSim(workload, "bsd", queries, reps, /*has_kinetic=*/true, &results);
-  BenchSim(workload, "bsd-clustered", queries, reps, /*has_kinetic=*/true,
-           &results);
-  BenchSim(workload, "hnr", queries, reps, /*has_kinetic=*/false, &results);
+  for (const char* policy : {"lsf", "bsd", "bsd-clustered", "hnr"}) {
+    BenchSim(workload, policy, queries, reps, &results);
+  }
 
   // Tuple-train batching under §9.2 overhead charging. Only the
   // dynamic-priority policies (LSF, BSD) pay per-decision overhead, so only
@@ -604,14 +540,14 @@ int Main(int argc, char** argv) {
   BenchKernel(kernel_workload, "bsd", queries, reps, &results);
 
   if (!quick) {
-    // 500-query cell: the ready set is large enough that the kinetic
-    // tournament's O(log n) picks separate clearly from the O(n) scan.
+    // 500-query cells: the ready set is large enough that the kinetic index
+    // answers from its tournament tree.
     query::WorkloadConfig big = config;
     big.num_queries = 500;
     big.num_arrivals = std::min<int64_t>(arrivals, 10000);
     const query::Workload big_workload = query::GenerateWorkload(big);
-    BenchSim(big_workload, "bsd", 500, reps, /*has_kinetic=*/true, &results);
-    BenchSim(big_workload, "lsf", 500, reps, /*has_kinetic=*/true, &results);
+    BenchSim(big_workload, "bsd", 500, reps, &results);
+    BenchSim(big_workload, "lsf", 500, reps, &results);
   }
 
   const double total_wall_ms = ElapsedMs(suite_start);

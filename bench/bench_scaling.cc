@@ -1,15 +1,11 @@
 // Shard-scaling curve for the partitioned runtime (docs/scaling.md).
 //
-// Runs the 500-query §8 testbed cell under BSD (§4.2.2) with the classic
-// linear-scan pick — the configuration where per-decision cost is
-// proportional to the number of units one scheduler owns, the scaling wall
-// Aurora/STREAM describe — at shards ∈ {1, 2, 4, 8} and reports the
-// wall-clock scaling curve. The win is algorithmic, not core-count-bound:
-// each of K shard schedulers scans ~n/K units per pick, so the aggregate
-// scheduling work drops by ~K even on a single core. (The kinetic index is
-// the orthogonal single-scheduler answer to the same wall — O(log n) picks —
-// and composes with sharding; it is deliberately off here so the bench
-// measures the runtime's ability to shrink scan breadth, not the index.)
+// Runs the 500-query §8 testbed cell under BSD (§4.2.2) at shards ∈
+// {1, 2, 4, 8} and reports the wall-clock scaling curve. Two effects add up:
+// each of K shard engines owns ~n/K units, so its kinetic-index picks and
+// re-keys work over a smaller ready set, and the K engines run on concurrent
+// worker threads. `--threads 1` runs the shards one after another and keeps
+// only the first effect; docs/scaling.md splits the K = 4 speedup that way.
 //
 // Cells are spliced into the aqsios-bench-perf/1 report (default:
 // BENCH_perf.json — run from the repo root to refresh the tracked
@@ -29,9 +25,13 @@
 //   {"name": "scaling/skew/static/..."}     hash placement, no controller
 //   {"name": "scaling/skew/rebalance/..."}  elastic rebalance controller on
 //   {"name": "scaling/skew/steal/..."}      work stealing only, no migration
-// — each reporting load_imbalance, tuples_per_wall_sec, and (for the elastic
-// cells) migrations/steals plus speedup_vs_static. scripts/perf_compare.py
-// gates scaling/skew/rebalance at load_imbalance <= 0.5x the static cell.
+// — each reporting load_imbalance, avg_slowdown, tuples_per_wall_sec, and
+// (for the elastic cells) migrations/steals plus speedup_vs_static. In full
+// mode the suite aborts unless scaling/skew/rebalance halves the static
+// cell's load_imbalance and cuts its avg_slowdown to at most 0.1x: in a
+// simulator, rebalancing changes virtual QoS, and wall-clock speedup on
+// this cell mostly measures per-pick cost removed from the hot shard.
+// scripts/perf_compare.py gates the same load_imbalance ratio.
 //
 // The suite also measures live-telemetry overhead (docs/telemetry.md): the
 // shards=4 cell re-runs with an aggressive 20 ms obs::TelemetrySampler
@@ -101,12 +101,14 @@ enum class SampleReps {
 /// repetitions are compared by the same CHECK, a sampler that perturbed
 /// results would abort the suite.
 ScalingCell RunCell(const query::Workload& workload,
-                    const sched::PolicyConfig& policy, int shards, int reps,
+                    const sched::PolicyConfig& policy, int shards,
+                    int threads, int reps,
                     const obs::TelemetryOptions& telemetry,
                     SampleReps sample_reps) {
   core::SimulationOptions options;
   options.qos.track_per_class = false;
   options.shards = shards;
+  options.shard_threads = threads;
 
   ScalingCell cell;
   cell.shards = shards;
@@ -352,11 +354,12 @@ struct SkewCell {
 /// the same exact-replay determinism CHECK as the main scaling cells
 /// (extended to migration/steal counts).
 SkewCell RunSkewCell(const query::Workload& workload,
-                     const sched::PolicyConfig& policy, int shards, int reps,
-                     const std::string& mode) {
+                     const sched::PolicyConfig& policy, int shards,
+                     int threads, int reps, const std::string& mode) {
   core::SimulationOptions options;
   options.qos.track_per_class = false;
   options.shards = shards;
+  options.shard_threads = threads;
   if (mode != "static") {
     options.rebalance.enabled = true;
     // The steal cell is a pure work-stealing ablation: migrations off, so
@@ -556,8 +559,8 @@ int Main(int argc, char** argv) {
   config.seed = static_cast<uint64_t>(seed);
   config.utilization = 0.9;
   const query::Workload workload = query::GenerateWorkload(config);
-  sched::PolicyConfig policy = sched::PolicyConfig::Of(sched::PolicyKind::kBsd);
-  policy.use_kinetic_index = false;
+  const sched::PolicyConfig policy =
+      sched::PolicyConfig::Of(sched::PolicyKind::kBsd);
 
   obs::TelemetryOptions live;
   live.metrics_out = metrics_out;
@@ -571,7 +574,8 @@ int Main(int argc, char** argv) {
 
   std::vector<ScalingCell> cells;
   for (const int shards : {1, 2, 4, 8}) {
-    ScalingCell cell = RunCell(workload, policy, shards, reps, live, live_reps);
+    ScalingCell cell =
+        RunCell(workload, policy, shards, threads, reps, live, live_reps);
     cell.speedup_vs_shards1 =
         cells.empty() ? 1.0 : cells.front().wall_ms / cell.wall_ms;
     std::cout << "scaling/bsd/q=" << queries << "/shards=" << shards << ": "
@@ -596,9 +600,8 @@ int Main(int argc, char** argv) {
   // vs a stealing-only ablation on a workload whose hot sharing groups land
   // on one shard (docs/scaling.md). The cell gets its own query and arrival
   // budgets (the per-stream plan touches ~1 group per arrival, not all
-  // queries, so it needs more arrivals to amortize setup; doubling the
-  // query count doubles the units the saturated hot shard's linear scans
-  // pay for — the scheduling wall the controller removes) and is calibrated
+  // queries, so it needs more arrivals to amortize setup, and twice the
+  // queries so the hot shard carries a large ready set) and is calibrated
   // to 2.4x one engine's capacity: balanced that is a comfortable 0.6 per
   // shard, but the statically placed hot shard saturates — the regime the
   // controller and the stealing path exist for.
@@ -612,14 +615,15 @@ int Main(int argc, char** argv) {
   std::vector<SkewCell> skew_cells;
   for (const char* mode : {"static", "rebalance", "steal"}) {
     SkewCell cell =
-        RunSkewCell(skew_workload, policy, skew_shards, reps, mode);
+        RunSkewCell(skew_workload, policy, skew_shards, threads, reps, mode);
     cell.speedup_vs_static = skew_cells.empty()
                                  ? 0.0
                                  : skew_cells.front().wall_ms / cell.wall_ms;
     std::cout << "scaling/skew/" << mode << "/q=" << skew_queries
               << "/shards=" << skew_shards << ": " << cell.wall_ms << " ms, "
               << cell.tuples_per_wall_sec << " tuples/s, load imbalance "
-              << cell.load_imbalance << ", migrations " << cell.migrations
+              << cell.load_imbalance << ", avg slowdown " << cell.avg_slowdown
+              << ", migrations " << cell.migrations
               << ", steals " << cell.steals
               << (cell.mode == "static"
                       ? std::string()
@@ -631,9 +635,11 @@ int Main(int argc, char** argv) {
   if (!quick) {
     const SkewCell& skew_static = skew_cells[0];
     const SkewCell& skew_rebalance = skew_cells[1];
-    AQSIOS_CHECK(skew_rebalance.speedup_vs_static >= 1.8)
-        << "elastic rebalancing must clear 1.8x on the skewed cell: got "
-        << skew_rebalance.speedup_vs_static << "x";
+    AQSIOS_CHECK(skew_rebalance.avg_slowdown <=
+                 0.1 * skew_static.avg_slowdown)
+        << "elastic rebalancing must cut the skewed cell's avg slowdown to "
+           "at most 0.1x static: "
+        << skew_static.avg_slowdown << " -> " << skew_rebalance.avg_slowdown;
     AQSIOS_CHECK(skew_rebalance.load_imbalance * 2.0 <=
                  skew_static.load_imbalance)
         << "elastic rebalancing must halve the skewed load imbalance: "
@@ -650,9 +656,11 @@ int Main(int argc, char** argv) {
   obs::TelemetryOptions aggressive;
   aggressive.period_ms = 20.0;
   const ScalingCell overhead_off =
-      RunCell(workload, policy, 4, reps, aggressive, SampleReps::kNone);
+      RunCell(workload, policy, 4, threads, reps, aggressive,
+              SampleReps::kNone);
   const ScalingCell overhead_on =
-      RunCell(workload, policy, 4, reps, aggressive, SampleReps::kAll);
+      RunCell(workload, policy, 4, threads, reps, aggressive,
+              SampleReps::kAll);
   const double overhead_pct =
       overhead_off.wall_ms > 0.0
           ? (overhead_on.wall_ms - overhead_off.wall_ms) /

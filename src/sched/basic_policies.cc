@@ -236,29 +236,20 @@ bool StaticPriorityScheduler::PickNext(SimTime /*now*/,
 
 void LsfScheduler::Attach(const UnitTable* units) {
   units_ = units;
-  ready_.clear();
   index_.Reserve(static_cast<int>(units->size()));
 }
 
 void LsfScheduler::OnEnqueue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   if (u.queue.size() != 1) return;
-  if (use_kinetic_) {
-    index_.Insert(unit, u.head().arrival_time, u.stats.ideal_time);
-  } else {
-    ready_.insert(unit);
-  }
+  index_.Insert(unit, u.head().arrival_time, u.stats.ideal_time);
 }
 
 void LsfScheduler::OnDequeue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   if (u.queue.empty()) {
-    if (use_kinetic_) {
-      index_.Erase(unit);
-    } else {
-      ready_.erase(unit);
-    }
-  } else if (use_kinetic_) {
+    index_.Erase(unit);
+  } else {
     // The head changed: the priority line is anchored at the new head's
     // arrival time (W measures the head tuple's wait).
     index_.Insert(unit, u.head().arrival_time, u.stats.ideal_time);
@@ -266,9 +257,8 @@ void LsfScheduler::OnDequeue(int unit) {
 }
 
 void LsfScheduler::OnStatsUpdated() {
-  // The scan reads stats at decision time and adapts automatically; the
-  // kinetic index caches line coefficients (1/T slopes) and must re-key.
-  if (!use_kinetic_) return;
+  // The index caches line coefficients (1/T slopes) and readiness, so a
+  // stats refresh and a queue resync both re-key every pending unit.
   index_.Clear();
   for (const Unit& u : *units_) {
     if (u.has_pending()) {
@@ -279,12 +269,10 @@ void LsfScheduler::OnStatsUpdated() {
 
 void LsfScheduler::OnCalibratedStats(const std::vector<int>& changed,
                                      SimTime /*now*/) {
-  // The scan path reads stats at decision time — nothing cached. The kinetic
-  // path re-keys exactly the changed units that are in the index (pending):
-  // same anchor (the head wait is untouched by a stats refresh), new 1/T
-  // slope. Insert on an existing id rewrites the line and replays its
-  // leaf-to-root path — O(log n), no Clear.
-  if (!use_kinetic_) return;
+  // Re-key exactly the changed units that are in the index (pending): same
+  // anchor (the head wait is untouched by a stats refresh), new 1/T slope.
+  // Insert on an existing id rewrites the line and replays its leaf-to-root
+  // path — O(log n), no Clear.
   for (int unit : changed) {
     const Unit& u = (*units_)[static_cast<size_t>(unit)];
     if (u.has_pending()) {
@@ -293,55 +281,20 @@ void LsfScheduler::OnCalibratedStats(const std::vector<int>& changed,
   }
 }
 
-void LsfScheduler::ResyncQueues(SimTime /*now*/) {
-  if (use_kinetic_) {
-    index_.Clear();
-    for (const Unit& u : *units_) {
-      if (u.has_pending()) {
-        index_.Insert(u.id, u.head().arrival_time, u.stats.ideal_time);
-      }
-    }
-    return;
-  }
-  ready_.clear();
-  for (const Unit& u : *units_) {
-    if (u.has_pending()) ready_.insert(u.id);
-  }
-}
-
 bool LsfScheduler::PickNext(SimTime now, SchedulingCost* cost,
                             std::vector<int>* out) {
-  // Either path: the W/T priority is time-varying, so conceptually every
-  // pick recomputes and compares the priority of each ready unit; charge
-  // both per ready unit so the Figure 13–14 overhead comparisons see the
-  // same accounting across scan-based policies, regardless of how few units
-  // the kinetic index actually touched in wall-clock terms.
-  if (use_kinetic_) {
-    if (index_.empty()) return false;
-    double best_priority = 0.0;
-    const int best = index_.ArgMax(now, &best_priority);
-    const int64_t ready = index_.size();
-    cost->computations += ready;
-    cost->comparisons += ready;
-    cost->candidates = ready;
-    cost->chosen_priority = best_priority;
-    out->push_back(best);
-    return true;
-  }
-  if (ready_.empty()) return false;
-  int best = -1;
-  double best_priority = -1.0;
-  for (int unit : ready_) {
-    const Unit& u = (*units_)[static_cast<size_t>(unit)];
-    const double priority = u.HeadWait(now) / u.stats.ideal_time;
-    ++cost->computations;
-    ++cost->comparisons;
-    if (priority > best_priority) {
-      best_priority = priority;
-      best = unit;
-    }
-  }
-  cost->candidates = static_cast<int64_t>(ready_.size());
+  // The W/T priority is time-varying, so conceptually every pick recomputes
+  // and compares the priority of each ready unit; charge both per ready unit
+  // so the Figure 13–14 overhead comparisons see the naive scan's
+  // accounting, regardless of how few lines the index actually touched in
+  // wall-clock terms.
+  if (index_.empty()) return false;
+  double best_priority = 0.0;
+  const int best = index_.ArgMax(now, &best_priority);
+  const int64_t ready = index_.size();
+  cost->computations += ready;
+  cost->comparisons += ready;
+  cost->candidates = ready;
   cost->chosen_priority = best_priority;
   out->push_back(best);
   return true;
@@ -351,35 +304,25 @@ bool LsfScheduler::PickNext(SimTime now, SchedulingCost* cost,
 
 void BsdScheduler::Attach(const UnitTable* units) {
   units_ = units;
-  ready_.clear();
   index_.Reserve(static_cast<int>(units->size()));
 }
 
 void BsdScheduler::OnEnqueue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   if (u.queue.size() != 1) return;
-  if (use_kinetic_) {
-    index_.Insert(unit, u.head().arrival_time, u.stats.phi);
-  } else {
-    ready_.insert(unit);
-  }
+  index_.Insert(unit, u.head().arrival_time, u.stats.phi);
 }
 
 void BsdScheduler::OnDequeue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   if (u.queue.empty()) {
-    if (use_kinetic_) {
-      index_.Erase(unit);
-    } else {
-      ready_.erase(unit);
-    }
-  } else if (use_kinetic_) {
+    index_.Erase(unit);
+  } else {
     index_.Insert(unit, u.head().arrival_time, u.stats.phi);
   }
 }
 
 void BsdScheduler::OnStatsUpdated() {
-  if (!use_kinetic_) return;
   index_.Clear();
   for (const Unit& u : *units_) {
     if (u.has_pending()) {
@@ -391,7 +334,6 @@ void BsdScheduler::OnStatsUpdated() {
 void BsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
                                      SimTime /*now*/) {
   // Same targeted re-key as LSF, over the Φ lines.
-  if (!use_kinetic_) return;
   for (int unit : changed) {
     const Unit& u = (*units_)[static_cast<size_t>(unit)];
     if (u.has_pending()) {
@@ -400,47 +342,16 @@ void BsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
   }
 }
 
-void BsdScheduler::ResyncQueues(SimTime /*now*/) {
-  if (use_kinetic_) {
-    index_.Clear();
-    for (const Unit& u : *units_) {
-      if (u.has_pending()) {
-        index_.Insert(u.id, u.head().arrival_time, u.stats.phi);
-      }
-    }
-    return;
-  }
-  ready_.clear();
-  for (const Unit& u : *units_) {
-    if (u.has_pending()) ready_.insert(u.id);
-  }
-}
-
 bool BsdScheduler::PickNext(SimTime now, SchedulingCost* cost,
                             std::vector<int>* out) {
-  int best = -1;
+  if (index_.empty()) return false;
   double best_priority = -1.0;
-  int64_t ready_count = 0;
-  if (use_kinetic_) {
-    if (index_.empty()) return false;
-    best = index_.ArgMax(now, &best_priority);
-    ready_count = index_.size();
-  } else {
-    if (ready_.empty()) return false;
-    for (int unit : ready_) {
-      const Unit& u = (*units_)[static_cast<size_t>(unit)];
-      const double priority = u.stats.phi * u.HeadWait(now);
-      if (priority > best_priority) {
-        best_priority = priority;
-        best = unit;
-      }
-    }
-    ready_count = static_cast<int64_t>(ready_.size());
-  }
+  const int best = index_.ArgMax(now, &best_priority);
+  const int64_t ready_count = index_.size();
   // §6.2: a naive implementation recomputes the priority of every installed
   // query's leaf at each scheduling point. The charge models that naive
-  // implementation in both pick paths — simulated cost is a property of the
-  // policy being simulated, not of how fast this simulator finds the argmax.
+  // implementation — simulated cost is a property of the policy being
+  // simulated, not of how fast this simulator finds the argmax.
   const int64_t touched =
       count_all_units_ ? static_cast<int64_t>(units_->size()) : ready_count;
   cost->computations += touched;

@@ -1,5 +1,5 @@
 // The non-clustered scheduling policies: FCFS, RR (Aurora-style), the static
-// priority family (SRPT / HR / HNR), LSF, and the exact (scan-based) BSD.
+// priority family (SRPT / HR / HNR), LSF, and exact (unclustered) BSD.
 //
 // Priorities (paper Eq. 3–6):
 //   SRPT:  1 / T           — shortest ideal processing time first
@@ -8,17 +8,17 @@
 //   LSF:   W / T           — longest current stretch first
 //   BSD:   (S / (C̄·T²))·W  — balance slowdown
 //
-// LSF and BSD have time-varying priorities; by default they answer each pick
-// from a KineticIndex (O(log n) amortized wall-clock) instead of the naive
-// O(n) scan. The two implementations return bit-identical decisions and
-// charge identical simulated SchedulingCost — the flag only changes how fast
-// the simulator itself runs (see docs/performance.md).
+// LSF and BSD have time-varying priorities; they answer each pick from a
+// KineticIndex (O(log n) amortized wall-clock). The index returns exactly the
+// unit the paper's naive O(n) scan would return, and the simulated
+// SchedulingCost still charges that scan (§6.2), so the virtual clock sees the
+// naive implementation whatever the wall clock pays. The scan itself lives in
+// tests/scan_schedulers.h as the equivalence oracle (docs/performance.md).
 
 #ifndef AQSIOS_SCHED_BASIC_POLICIES_H_
 #define AQSIOS_SCHED_BASIC_POLICIES_H_
 
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "sched/kinetic_index.h"
@@ -131,27 +131,27 @@ class StaticPriorityScheduler : public Scheduler {
 };
 
 /// Longest Stretch First (Eq. 5): max W/T among ready units. The ordering is
-/// time-varying; picks are answered by a kinetic index (default) or the
-/// naive per-pick scan — identical results either way.
+/// time-varying; picks are answered by a kinetic index over the units'
+/// W/T priority lines.
 class LsfScheduler : public Scheduler {
  public:
-  explicit LsfScheduler(bool use_kinetic_index = true)
-      : use_kinetic_(use_kinetic_index) {}
-
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
   void OnDequeue(int unit) override;
   /// One erase-or-re-key on the post-train head instead of `count`
   /// intermediate kinetic re-keys — the once-per-batch priority update.
   void OnBatchDequeue(int unit, int /*count*/) override { OnDequeue(unit); }
+  /// Re-keys every pending unit's line from the refreshed stats.
   void OnStatsUpdated() override;
   /// Targeted calibration path: re-keys only the changed units' priority
   /// lines (new 1/T slopes, unchanged anchors) through the kinetic index's
   /// Insert-on-existing-id, which replays one leaf-to-root path — O(log n)
-  /// per changed unit, never a Clear. The scan path reads stats live and needs nothing.
+  /// per changed unit, never a Clear.
   void OnCalibratedStats(const std::vector<int>& changed,
                          SimTime now) override;
-  void ResyncQueues(SimTime now) override;
+  /// The index holds exactly the pending units' lines, so a resync is the
+  /// same full re-key as a stats refresh.
+  void ResyncQueues(SimTime /*now*/) override { OnStatsUpdated(); }
   bool PickNext(SimTime now, SchedulingCost* cost,
                 std::vector<int>* out) override;
   const char* name() const override { return "LSF"; }
@@ -165,10 +165,7 @@ class LsfScheduler : public Scheduler {
   const KineticIndex& index() const { return index_; }
 
  private:
-  bool use_kinetic_;
   const UnitTable* units_ = nullptr;
-  /// Scan path only; the kinetic path keeps readiness in the index.
-  std::set<int> ready_;
   KineticIndex index_{KineticIndex::EvalMode::kRatio};
 };
 
@@ -177,12 +174,11 @@ class LsfScheduler : public Scheduler {
 /// scheduler touches all q units at every scheduling point); otherwise only
 /// ready units are counted. The *hypothetical* BSD of §9.2 is this scheduler
 /// with engine-side overhead charging disabled. Like LSF, the pick itself is
-/// kinetic by default; the simulated charges are unaffected.
+/// kinetic; the simulated charges model the scan.
 class BsdScheduler : public Scheduler {
  public:
-  explicit BsdScheduler(bool count_all_units = true,
-                        bool use_kinetic_index = true)
-      : count_all_units_(count_all_units), use_kinetic_(use_kinetic_index) {}
+  explicit BsdScheduler(bool count_all_units = true)
+      : count_all_units_(count_all_units) {}
 
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
@@ -190,12 +186,14 @@ class BsdScheduler : public Scheduler {
   /// One erase-or-re-key on the post-train head instead of `count`
   /// intermediate kinetic re-keys — the once-per-batch priority update.
   void OnBatchDequeue(int unit, int /*count*/) override { OnDequeue(unit); }
+  /// Re-keys every pending unit's Φ line from the refreshed stats.
   void OnStatsUpdated() override;
   /// Targeted calibration path: re-keys only the changed units' Φ lines —
   /// see LsfScheduler::OnCalibratedStats.
   void OnCalibratedStats(const std::vector<int>& changed,
                          SimTime now) override;
-  void ResyncQueues(SimTime now) override;
+  /// Same full re-key as a stats refresh — see LsfScheduler::ResyncQueues.
+  void ResyncQueues(SimTime /*now*/) override { OnStatsUpdated(); }
   bool PickNext(SimTime now, SchedulingCost* cost,
                 std::vector<int>* out) override;
   const char* name() const override { return "BSD"; }
@@ -209,10 +207,7 @@ class BsdScheduler : public Scheduler {
 
  private:
   bool count_all_units_;
-  bool use_kinetic_;
   const UnitTable* units_ = nullptr;
-  /// Scan path only; the kinetic path keeps readiness in the index.
-  std::set<int> ready_;
   KineticIndex index_{KineticIndex::EvalMode::kScaled};
 };
 

@@ -46,22 +46,38 @@ void ClusteredBsdScheduler::Attach(const UnitTable* units) {
                    });
 }
 
+void ClusteredBsdScheduler::KeyHead(int cluster) {
+  const auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
+  if (kinetic_active()) {
+    if (queue.empty()) {
+      index_.Erase(cluster);
+    } else {
+      // Insert on a present id re-keys in place: same line slope, new
+      // anchor and tie key.
+      index_.Insert(cluster, queue.front().arrival_time,
+                    clustering_.pseudo_priority[static_cast<size_t>(cluster)],
+                    /*tie_key=*/queue.front().arrival_time);
+    }
+  } else if (!queue.empty()) {
+    by_head_time_.insert({queue.front().arrival_time, cluster});
+  }
+}
+
+void ClusteredBsdScheduler::UnkeyHead(int cluster) {
+  const auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
+  if (!kinetic_active() && !queue.empty()) {
+    by_head_time_.erase({queue.front().arrival_time, cluster});
+  }
+}
+
 void ClusteredBsdScheduler::OnEnqueue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   AQSIOS_DCHECK(!u.queue.empty());
   const QueueEntry& pushed = u.queue.back();
   const int cluster = clustering_.cluster_of_unit[static_cast<size_t>(unit)];
   auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
-  if (queue.empty()) {
-    if (kinetic_active()) {
-      index_.Insert(cluster, pushed.arrival_time,
-                    clustering_.pseudo_priority[static_cast<size_t>(cluster)],
-                    /*tie_key=*/pushed.arrival_time);
-    } else {
-      by_head_time_.insert({pushed.arrival_time, cluster});
-    }
-  }
   queue.push_back(Entry{unit, pushed.arrival, pushed.arrival_time});
+  if (queue.size() == 1) KeyHead(cluster);
 }
 
 void ClusteredBsdScheduler::OnDequeue(int /*unit*/) {
@@ -79,10 +95,7 @@ void ClusteredBsdScheduler::OnBatchDequeue(int unit, int count) {
   if (remaining == 0) return;
   const int cluster = clustering_.cluster_of_unit[static_cast<size_t>(unit)];
   auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
-  const bool kinetic = kinetic_active();
-  if (!kinetic && !queue.empty()) {
-    by_head_time_.erase({queue.front().arrival_time, cluster});
-  }
+  UnkeyHead(cluster);
   for (auto it = queue.begin(); it != queue.end() && remaining > 0;) {
     if (it->unit == unit) {
       it = queue.erase(it);
@@ -93,15 +106,7 @@ void ClusteredBsdScheduler::OnBatchDequeue(int unit, int count) {
   }
   AQSIOS_DCHECK_EQ(remaining, 0)
       << "cluster queue out of sync for unit " << unit;
-  if (queue.empty()) {
-    if (kinetic) index_.Erase(cluster);
-  } else if (kinetic) {
-    index_.Insert(cluster, queue.front().arrival_time,
-                  clustering_.pseudo_priority[static_cast<size_t>(cluster)],
-                  /*tie_key=*/queue.front().arrival_time);
-  } else {
-    by_head_time_.insert({queue.front().arrival_time, cluster});
-  }
+  KeyHead(cluster);
 }
 
 void ClusteredBsdScheduler::ResyncQueues(SimTime /*now*/) {
@@ -126,14 +131,7 @@ void ClusteredBsdScheduler::ResyncQueues(SimTime /*now*/) {
       return a.arrival != b.arrival ? a.arrival < b.arrival
                                     : a.unit < b.unit;
     });
-    if (queue.empty()) continue;
-    if (kinetic_active()) {
-      index_.Insert(cluster, queue.front().arrival_time,
-                    clustering_.pseudo_priority[static_cast<size_t>(cluster)],
-                    /*tie_key=*/queue.front().arrival_time);
-    } else {
-      by_head_time_.insert({queue.front().arrival_time, cluster});
-    }
+    KeyHead(cluster);
   }
 }
 
@@ -165,11 +163,8 @@ void ClusteredBsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
   // restricted ResyncQueues) and re-key each one's head line individually —
   // one O(log m) path replay per affected cluster, never a Clear.
   for (const int cluster : affected_clusters_) {
-    auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
-    if (!kinetic_active() && !queue.empty()) {
-      by_head_time_.erase({queue.front().arrival_time, cluster});
-    }
-    queue.clear();
+    UnkeyHead(cluster);
+    cluster_queues_[static_cast<size_t>(cluster)].clear();
   }
   for (const Unit& u : *units_) {
     const int cluster =
@@ -188,38 +183,8 @@ void ClusteredBsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
       return a.arrival != b.arrival ? a.arrival < b.arrival
                                     : a.unit < b.unit;
     });
-    if (queue.empty()) {
-      if (kinetic_active()) index_.Erase(cluster);
-      continue;
-    }
-    if (kinetic_active()) {
-      index_.Insert(cluster, queue.front().arrival_time,
-                    clustering_.pseudo_priority[static_cast<size_t>(cluster)],
-                    /*tie_key=*/queue.front().arrival_time);
-    } else {
-      by_head_time_.insert({queue.front().arrival_time, cluster});
-    }
+    KeyHead(cluster);
   }
-}
-
-int ClusteredBsdScheduler::SelectByScan(SimTime now,
-                                        SchedulingCost* cost) const {
-  int best = -1;
-  double best_priority = -1.0;
-  for (const auto& [head_time, cluster] : by_head_time_) {
-    const double priority =
-        clustering_.pseudo_priority[static_cast<size_t>(cluster)] *
-        (now - head_time);
-    ++cost->computations;
-    ++cost->comparisons;
-    ++cost->candidates;
-    if (priority > best_priority) {
-      best_priority = priority;
-      best = cluster;
-    }
-  }
-  cost->chosen_priority = best_priority;
-  return best;
 }
 
 int ClusteredBsdScheduler::SelectByFagin(SimTime now,
@@ -301,7 +266,7 @@ int ClusteredBsdScheduler::SelectByFagin(SimTime now,
 
 int ClusteredBsdScheduler::SelectByKinetic(SimTime now,
                                            SchedulingCost* cost) {
-  // SelectByScan touches every non-empty cluster, charging one computation,
+  // A linear scan touches every non-empty cluster, charging one computation,
   // one comparison, and one candidate each; the simulated charges model that
   // scan no matter how few nodes the index revalidated.
   double best_priority = -1.0;
@@ -318,14 +283,13 @@ bool ClusteredBsdScheduler::PickNext(SimTime now, SchedulingCost* cost,
                                      std::vector<int>* out) {
   const bool kinetic = kinetic_active();
   if (kinetic ? index_.empty() : by_head_time_.empty()) return false;
-  const int cluster = options_.use_fagin ? SelectByFagin(now, cost)
-                      : kinetic          ? SelectByKinetic(now, cost)
-                                         : SelectByScan(now, cost);
+  const int cluster =
+      kinetic ? SelectByKinetic(now, cost) : SelectByFagin(now, cost);
   AQSIOS_DCHECK_GE(cluster, 0);
 
   auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
   AQSIOS_DCHECK(!queue.empty());
-  if (!kinetic) by_head_time_.erase({queue.front().arrival_time, cluster});
+  UnkeyHead(cluster);
 
   const stream::ArrivalId head_arrival = queue.front().arrival;
   out->push_back(queue.front().unit);
@@ -337,18 +301,7 @@ bool ClusteredBsdScheduler::PickNext(SimTime now, SchedulingCost* cost,
       queue.pop_front();
     }
   }
-  if (kinetic) {
-    if (queue.empty()) {
-      index_.Erase(cluster);
-    } else {
-      // Re-key to the new head: same line slope, new anchor and tie key.
-      index_.Insert(cluster, queue.front().arrival_time,
-                    clustering_.pseudo_priority[static_cast<size_t>(cluster)],
-                    /*tie_key=*/queue.front().arrival_time);
-    }
-  } else if (!queue.empty()) {
-    by_head_time_.insert({queue.front().arrival_time, cluster});
-  }
+  KeyHead(cluster);
   return true;
 }
 

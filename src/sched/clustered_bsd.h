@@ -3,8 +3,9 @@
 //
 // The scheduler keeps one FIFO per cluster. A cluster's priority at a
 // scheduling point is (pseudo priority) × (wait of its oldest pending
-// tuple). Selection is either a linear scan over the non-empty clusters or —
-// with `use_fagin` — the top-1 variant of Fagin's Algorithm over two sorted
+// tuple). Selection is either the argmax over the non-empty clusters —
+// answered by a kinetic index, and charged as the paper's linear scan — or,
+// with `use_fagin`, the top-1 variant of Fagin's Algorithm over two sorted
 // lists (clusters by static pseudo priority, clusters by head wait time),
 // which typically stops after touching a handful of clusters (§6.2.2, the
 // RxW-style pruning).
@@ -37,11 +38,6 @@ struct ClusteredBsdOptions {
   bool use_fagin = false;
   /// Enable clustered processing (§6.2.3).
   bool clustered_processing = false;
-  /// Answer the cluster-selection scan from a kinetic index (wall-clock
-  /// only; decisions and simulated charges are bit-identical to the scan).
-  /// Ignored when `use_fagin` is set — the Fagin traversal's charges depend
-  /// on its own sorted-access order, so it keeps its list-based structures.
-  bool use_kinetic_index = true;
 };
 
 class ClusteredBsdScheduler : public Scheduler {
@@ -85,17 +81,24 @@ class ClusteredBsdScheduler : public Scheduler {
     SimTime arrival_time = 0.0;
   };
 
-  /// Linear scan over non-empty clusters; returns the winning cluster.
-  int SelectByScan(SimTime now, SchedulingCost* cost) const;
   /// Fagin top-1 over the two sorted lists; returns the winning cluster.
   int SelectByFagin(SimTime now, SchedulingCost* cost) const;
-  /// Kinetic-index argmax charging exactly what SelectByScan charges.
+  /// Kinetic-index argmax charging what a linear scan over the non-empty
+  /// clusters would charge.
   int SelectByKinetic(SimTime now, SchedulingCost* cost);
 
-  /// Whether the kinetic index replaces by_head_time_ for this config.
-  bool kinetic_active() const {
-    return options_.use_kinetic_index && !options_.use_fagin;
-  }
+  /// Whether the kinetic index (rather than Fagin's by_head_time_ list)
+  /// tracks the non-empty clusters. The Fagin traversal's charges depend on
+  /// its own sorted-access order, so it keeps its list-based structures.
+  bool kinetic_active() const { return !options_.use_fagin; }
+
+  /// Files the cluster's current head in whichever structure tracks the
+  /// non-empty clusters; an empty cluster is dropped from the index. The
+  /// index re-keys a present cluster in place, while Fagin's list needs
+  /// UnkeyHead before the queue's head changes.
+  void KeyHead(int cluster);
+  /// Fagin only: removes the cluster's current head from by_head_time_.
+  void UnkeyHead(int cluster);
 
   SimTime HeadTime(int cluster) const {
     return cluster_queues_[static_cast<size_t>(cluster)].front().arrival_time;
@@ -108,12 +111,13 @@ class ClusteredBsdScheduler : public Scheduler {
   std::vector<std::deque<Entry>> cluster_queues_;
   /// Cluster ids in descending pseudo-priority order (Fagin's list A).
   std::vector<int> by_pseudo_priority_;
-  /// Non-empty clusters keyed by oldest-pending-arrival time, i.e. by
-  /// descending head wait (Fagin's list B). Doubles as the non-empty set.
-  /// Unused when kinetic_active(): the index then tracks the same clusters
-  /// keyed by the line pseudo_c * (t - head_c) with tie key head_c, which
-  /// reproduces this set's iteration-order tie-break exactly.
+  /// Fagin only: non-empty clusters keyed by oldest-pending-arrival time,
+  /// i.e. by descending head wait (Fagin's list B). Doubles as the
+  /// non-empty set.
   std::set<std::pair<SimTime, int>> by_head_time_;
+  /// Without Fagin: the non-empty clusters keyed by the line
+  /// pseudo_c * (t - head_c) with tie key head_c, which reproduces a scan's
+  /// (head time, cluster id) iteration-order tie-break exactly.
   KineticIndex index_{KineticIndex::EvalMode::kScaled};
   /// Per-cluster marker of the last Fagin pass that evaluated it (avoids
   /// duplicate evaluations when a cluster surfaces in both sorted lists).

@@ -33,10 +33,10 @@
 // paths. Both modes implement identical semantics; which one answers is
 // invisible to callers except through dense()/node_recomputes().
 //
-// Bit-identical contract: the index must return exactly the unit the linear
-// scan in basic_policies.cc / clustered_bsd.cc would return, including its
-// priority *value* with identical floating-point rounding. Two rules make
-// that hold:
+// Bit-identical contract: the index must return exactly the unit the
+// paper's linear scan would return (the scan oracles in
+// tests/scan_schedulers.h), including its priority *value* with identical
+// floating-point rounding. Two rules make that hold:
 //
 //  1. Matches are decided by evaluating the scan's own arithmetic
 //     (EvalMode::kRatio = `(t - anchor) / coef`, EvalMode::kScaled =

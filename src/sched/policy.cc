@@ -76,10 +76,9 @@ std::unique_ptr<Scheduler> CreateScheduler(const PolicyConfig& config) {
     case PolicyKind::kHnr:
       return std::make_unique<StaticPriorityScheduler>(StaticPolicy::kHnr);
     case PolicyKind::kLsf:
-      return std::make_unique<LsfScheduler>(config.use_kinetic_index);
+      return std::make_unique<LsfScheduler>();
     case PolicyKind::kBsd:
-      return std::make_unique<BsdScheduler>(config.bsd_count_all_units,
-                                            config.use_kinetic_index);
+      return std::make_unique<BsdScheduler>(config.bsd_count_all_units);
     case PolicyKind::kBsdClustered:
       return std::make_unique<ClusteredBsdScheduler>(config.clustered);
     case PolicyKind::kChain:

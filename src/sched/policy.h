@@ -20,7 +20,7 @@ enum class PolicyKind {
   kHr,
   kHnr,
   kLsf,
-  kBsd,           // exact scan-based BSD
+  kBsd,           // exact (unclustered) BSD, Eq. 6
   kBsdClustered,  // clustered BSD implementation (§6.2)
   kChain,         // memory-minimizing baseline (Table 3, [5])
   kTwoLevelRr,    // Aurora's RR-across-queries + rate-based-within (§10)
@@ -45,12 +45,6 @@ struct PolicyConfig {
   double lp_norm_p = 2.0;
   /// For kQosGraph: the default utility-graph shape.
   QosGraphOptions qos_graph;
-  /// For kLsf/kBsd (kBsdClustered carries its own copy in `clustered`):
-  /// answer picks from the kinetic tournament index instead of the naive
-  /// O(ready) scan. Wall-clock only — decisions, QoS results, and simulated
-  /// SchedulingCost charges are bit-identical either way (pinned by
-  /// tests/sched_kinetic_index_test.cc).
-  bool use_kinetic_index = true;
 
   static PolicyConfig Of(PolicyKind kind) {
     PolicyConfig config;

@@ -2,7 +2,7 @@
 // docs/calibration.md): estimator convergence and decay, the min-weight and
 // hysteresis guards, byte-identity of every report when calibration is off,
 // determinism of calibrated drift runs, equivalence of the kinetic targeted
-// re-keys with the naive live-scan re-derivation, and the no-full-rebuild
+// re-keys with the scan oracle's live re-derivation, and the no-full-rebuild
 // pin (KineticIndex::clears() stays 0 on the calibration path).
 
 #include <string>
@@ -20,6 +20,7 @@
 #include "sched/policy.h"
 #include "sched/scheduler.h"
 #include "sched/unit.h"
+#include "scan_schedulers.h"
 #include "stream/drift.h"
 
 namespace aqsios::sched {
@@ -242,18 +243,21 @@ TEST(CalibrationDriftTest, ShardedCalibratedDriftRunsAreDeterministic) {
 
 TEST(CalibrationDriftTest, TargetedRekeysMatchFullRederivationOracle) {
   // The kinetic policies re-key only the changed units through the index's
-  // path replay; the non-kinetic scan recomputes every priority from the
-  // (calibrated) stats live at each pick. Byte-identical reports prove the
-  // targeted O(log n) path equals the full re-derivation oracle.
+  // path replay; the scan oracle (scan_schedulers.h) recomputes every
+  // priority from the (calibrated) stats live at each pick. Byte-identical
+  // reports prove the targeted O(log n) path equals the full re-derivation.
   const query::Workload workload = TestbedWorkload();
   const core::SimulationOptions options = DriftOptions(workload);
   for (const PolicyKind kind : {PolicyKind::kLsf, PolicyKind::kBsd}) {
-    PolicyConfig kinetic = PolicyConfig::Of(kind);
-    kinetic.use_kinetic_index = true;
-    PolicyConfig scan = PolicyConfig::Of(kind);
-    scan.use_kinetic_index = false;
-    const core::RunResult a = core::Simulate(workload, kinetic, options);
-    const core::RunResult b = core::Simulate(workload, scan, options);
+    const PolicyConfig policy = PolicyConfig::Of(kind);
+    oracle::ScanLsfScheduler scan_lsf;
+    oracle::ScanBsdScheduler scan_bsd(policy.bsd_count_all_units);
+    Scheduler* scan = kind == PolicyKind::kLsf
+                          ? static_cast<Scheduler*>(&scan_lsf)
+                          : &scan_bsd;
+    const core::RunResult a = core::Simulate(workload, policy, options);
+    const core::RunResult b =
+        oracle::SimulateWithScheduler(workload, policy, options, scan);
     EXPECT_EQ(core::RunResultToJson(a), core::RunResultToJson(b))
         << "policy " << PolicyKindName(kind);
     EXPECT_GT(a.counters.calibration_rekeys, 0)
@@ -271,7 +275,7 @@ TEST(CalibrationDriftTest, CalibrationNeverClearsTheKineticIndex) {
     exec::EngineConfig config;
     config.drift = sim_options.drift;
     config.calibration = sim_options.calibration;
-    LsfScheduler lsf(/*use_kinetic_index=*/true);
+    LsfScheduler lsf;
     metrics::QosCollector collector((metrics::QosCollector::Options()));
     exec::Engine engine(&workload.plan, &workload.arrivals, config, &lsf,
                         &collector);
@@ -283,7 +287,7 @@ TEST(CalibrationDriftTest, CalibrationNeverClearsTheKineticIndex) {
     exec::EngineConfig config;
     config.drift = sim_options.drift;
     config.calibration = sim_options.calibration;
-    BsdScheduler bsd(/*count_all_units=*/true, /*use_kinetic_index=*/true);
+    BsdScheduler bsd(/*count_all_units=*/true);
     metrics::QosCollector collector((metrics::QosCollector::Options()));
     exec::Engine engine(&workload.plan, &workload.arrivals, config, &bsd,
                         &collector);

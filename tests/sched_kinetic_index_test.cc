@@ -3,9 +3,9 @@
 // counts that walk across both mode thresholds), the tree's mutation-time path replay under
 // the engine's pick/re-key pattern, same-clock mutations, zero-priority tie
 // bursts, growth and Clear with live lines, golden-trace equivalence of
-// the kinetic schedulers against their naive scan twins (picks *and*
-// simulated SchedulingCost charges), and full-simulation equality kinetic
-// on vs off.
+// the kinetic schedulers against the scan oracles of scan_schedulers.h
+// (picks *and* simulated SchedulingCost charges, in dense and tree mode),
+// and full-simulation equality against the oracles.
 
 #include "sched/kinetic_index.h"
 
@@ -23,6 +23,7 @@
 #include "sched/basic_policies.h"
 #include "sched/clustered_bsd.h"
 #include "sched/policy.h"
+#include "scan_schedulers.h"
 
 namespace aqsios::sched {
 namespace {
@@ -640,7 +641,7 @@ TEST(KineticIndexTest, ReserveRestartsTheClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden-trace equivalence: kinetic scheduler vs its naive scan twin.
+// Golden-trace equivalence: kinetic scheduler vs its scan oracle.
 
 Unit MakeUnit(int id, double phi, SimTime ideal_time) {
   Unit unit;
@@ -671,9 +672,12 @@ UnitTable MakeUnits(int n, uint64_t seed) {
 
 /// Runs the same random enqueue/pick trace through both schedulers and
 /// asserts identical picks and identical SchedulingCost charges. The two
-/// unit tables evolve in lockstep because picks match.
+/// unit tables evolve in lockstep because picks match. `*saw_tree` reports
+/// whether `index` (the kinetic scheduler's) was ever in tree mode.
 void RunGoldenTrace(Scheduler& kinetic, Scheduler& scan, int n, int steps,
-                    uint64_t seed) {
+                    uint64_t seed, const KineticIndex& index,
+                    bool* saw_tree) {
+  *saw_tree = false;
   UnitTable units_a = MakeUnits(n, seed);
   UnitTable units_b = MakeUnits(n, seed);
   kinetic.Attach(&units_a);
@@ -692,6 +696,7 @@ void RunGoldenTrace(Scheduler& kinetic, Scheduler& scan, int n, int steps,
       ++arrival;
       kinetic.OnEnqueue(u);
       scan.OnEnqueue(u);
+      *saw_tree = *saw_tree || !index.dense();
       continue;
     }
     SchedulingCost cost_a;
@@ -720,21 +725,31 @@ void RunGoldenTrace(Scheduler& kinetic, Scheduler& scan, int n, int steps,
   }
 }
 
+// n <= 128 keeps the index dense throughout; the larger traces fill past
+// KineticIndex::kDenseMaxCapacity live lines and must reach tree mode.
 TEST(KineticEquivalenceTest, LsfGoldenTrace) {
-  for (const int n : {7, 60, 200}) {
-    LsfScheduler kinetic(/*use_kinetic_index=*/true);
-    LsfScheduler scan(/*use_kinetic_index=*/false);
-    RunGoldenTrace(kinetic, scan, n, 6000, 0x11F + static_cast<uint64_t>(n));
+  for (const int n : {7, 60, 200, 500}) {
+    SCOPED_TRACE(n);
+    LsfScheduler kinetic;
+    oracle::ScanLsfScheduler scan;
+    bool saw_tree = false;
+    RunGoldenTrace(kinetic, scan, n, 6000, 0x11F + static_cast<uint64_t>(n),
+                   kinetic.index(), &saw_tree);
+    EXPECT_EQ(saw_tree, n > KineticIndex::kDenseMaxCapacity);
   }
 }
 
 TEST(KineticEquivalenceTest, BsdGoldenTraceBothCountModes) {
   for (const bool count_all : {false, true}) {
-    for (const int n : {7, 60, 200}) {
-      BsdScheduler kinetic(count_all, /*use_kinetic_index=*/true);
-      BsdScheduler scan(count_all, /*use_kinetic_index=*/false);
+    for (const int n : {7, 60, 200, 500}) {
+      SCOPED_TRACE(n);
+      BsdScheduler kinetic(count_all);
+      oracle::ScanBsdScheduler scan(count_all);
+      bool saw_tree = false;
       RunGoldenTrace(kinetic, scan, n, 6000,
-                     0xB5D + static_cast<uint64_t>(n) + (count_all ? 1 : 0));
+                     0xB5D + static_cast<uint64_t>(n) + (count_all ? 1 : 0),
+                     kinetic.index(), &saw_tree);
+      EXPECT_EQ(saw_tree, n > KineticIndex::kDenseMaxCapacity);
     }
   }
 }
@@ -742,17 +757,17 @@ TEST(KineticEquivalenceTest, BsdGoldenTraceBothCountModes) {
 TEST(KineticEquivalenceTest, ClusteredBsdGoldenTrace) {
   for (const bool clustered_processing : {false, true}) {
     for (const int n : {20, 60}) {
-      ClusteredBsdOptions on;
-      on.num_clusters = 6;
-      on.clustered_processing = clustered_processing;
-      on.use_kinetic_index = true;
-      ClusteredBsdOptions off = on;
-      off.use_kinetic_index = false;
-      ClusteredBsdScheduler kinetic(on);
-      ClusteredBsdScheduler scan(off);
+      ClusteredBsdOptions options;
+      options.num_clusters = 6;
+      options.clustered_processing = clustered_processing;
+      ClusteredBsdScheduler kinetic(options);
+      oracle::ScanClusteredBsdScheduler scan(options);
+      bool saw_tree = false;
       RunGoldenTrace(kinetic, scan, n, 6000,
                      0xC1 + static_cast<uint64_t>(n) +
-                         (clustered_processing ? 7 : 0));
+                         (clustered_processing ? 7 : 0),
+                     kinetic.index(), &saw_tree);
+      EXPECT_FALSE(saw_tree);  // six clusters: always the dense mode
     }
   }
 }
@@ -760,19 +775,36 @@ TEST(KineticEquivalenceTest, ClusteredBsdGoldenTrace) {
 // ---------------------------------------------------------------------------
 // Full-simulation equality.
 
-core::RunResult RunSim(sched::PolicyConfig config, bool kinetic,
-                       bool charge_overhead) {
+query::Workload SimWorkload(int queries, int64_t arrivals) {
   query::WorkloadConfig workload_config;
-  workload_config.num_queries = 24;
-  workload_config.num_arrivals = 3000;
+  workload_config.num_queries = queries;
+  workload_config.num_arrivals = arrivals;
   workload_config.seed = 42;
   workload_config.utilization = 0.9;
-  const query::Workload workload = query::GenerateWorkload(workload_config);
-  config.use_kinetic_index = kinetic;
-  config.clustered.use_kinetic_index = kinetic;
+  return query::GenerateWorkload(workload_config);
+}
+
+core::SimulationOptions SimOptions(bool charge_overhead) {
   core::SimulationOptions options;
   options.charge_scheduling_overhead = charge_overhead;
-  return core::Simulate(workload, config, options);
+  return options;
+}
+
+/// The oracle twin of the production scheduler `config` creates.
+std::unique_ptr<Scheduler> MakeOracle(const PolicyConfig& config) {
+  switch (config.kind) {
+    case PolicyKind::kLsf:
+      return std::make_unique<oracle::ScanLsfScheduler>();
+    case PolicyKind::kBsd:
+      return std::make_unique<oracle::ScanBsdScheduler>(
+          config.bsd_count_all_units);
+    case PolicyKind::kBsdClustered:
+      return std::make_unique<oracle::ScanClusteredBsdScheduler>(
+          config.clustered);
+    default:
+      ADD_FAILURE() << "no scan oracle for " << PolicyKindName(config.kind);
+      return nullptr;
+  }
 }
 
 void ExpectSameRun(const core::RunResult& a, const core::RunResult& b) {
@@ -790,16 +822,47 @@ void ExpectSameRun(const core::RunResult& a, const core::RunResult& b) {
 }
 
 TEST(KineticEquivalenceTest, SimulationBitIdenticalKineticOnOff) {
-  // Both with and without §9.2 overhead charging: the kinetic index must
-  // leave the virtual clock — including the charged scheduling costs —
-  // untouched.
+  // Production Simulate vs one engine driven by the scan oracle, both with
+  // and without §9.2 overhead charging: the kinetic index must leave the
+  // virtual clock — including the charged scheduling costs — untouched.
+  const query::Workload workload = SimWorkload(24, 3000);
   for (const bool charge : {false, true}) {
     for (const PolicyKind kind :
          {PolicyKind::kLsf, PolicyKind::kBsd, PolicyKind::kBsdClustered}) {
+      SCOPED_TRACE(PolicyKindName(kind));
       const auto config = PolicyConfig::Of(kind);
-      ExpectSameRun(RunSim(config, /*kinetic=*/true, charge),
-                    RunSim(config, /*kinetic=*/false, charge));
+      const core::SimulationOptions options = SimOptions(charge);
+      std::unique_ptr<Scheduler> scan = MakeOracle(config);
+      ExpectSameRun(core::Simulate(workload, config, options),
+                    oracle::SimulateWithScheduler(workload, config, options,
+                                                  scan.get()));
     }
+  }
+}
+
+TEST(KineticEquivalenceTest, TreeModeSimulationMatchesScanOracle) {
+  // Enough queries that the ready set outgrows the dense mode: the index
+  // must have replayed tree paths (node_recomputes > 0) and still match the
+  // scan run field for field.
+  const query::Workload workload = SimWorkload(200, 2000);
+  const core::SimulationOptions options = SimOptions(/*charge=*/true);
+  {
+    const PolicyConfig config = PolicyConfig::Of(PolicyKind::kLsf);
+    LsfScheduler kinetic;
+    oracle::ScanLsfScheduler scan;
+    ExpectSameRun(
+        oracle::SimulateWithScheduler(workload, config, options, &kinetic),
+        oracle::SimulateWithScheduler(workload, config, options, &scan));
+    EXPECT_GT(kinetic.index().node_recomputes(), 0);
+  }
+  {
+    const PolicyConfig config = PolicyConfig::Of(PolicyKind::kBsd);
+    BsdScheduler kinetic(config.bsd_count_all_units);
+    oracle::ScanBsdScheduler scan(config.bsd_count_all_units);
+    ExpectSameRun(
+        oracle::SimulateWithScheduler(workload, config, options, &kinetic),
+        oracle::SimulateWithScheduler(workload, config, options, &scan));
+    EXPECT_GT(kinetic.index().node_recomputes(), 0);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 namespace aqsios::sched {
@@ -87,36 +86,19 @@ std::vector<int> Drain(UnitTable& units, Scheduler& scheduler, SimTime now) {
   return sequence;
 }
 
-struct Case {
-  std::string label;
-  PolicyConfig config;
+constexpr PolicyKind kAllPolicies[] = {
+    PolicyKind::kFcfs,       PolicyKind::kRoundRobin,   PolicyKind::kSrpt,
+    PolicyKind::kHr,         PolicyKind::kHnr,          PolicyKind::kLsf,
+    PolicyKind::kBsd,        PolicyKind::kBsdClustered, PolicyKind::kChain,
+    PolicyKind::kTwoLevelRr, PolicyKind::kLpNorm,       PolicyKind::kQosGraph,
 };
 
-std::vector<Case> AllCases() {
-  std::vector<Case> cases;
-  for (PolicyKind kind :
-       {PolicyKind::kFcfs, PolicyKind::kRoundRobin, PolicyKind::kSrpt,
-        PolicyKind::kHr, PolicyKind::kHnr, PolicyKind::kLsf, PolicyKind::kBsd,
-        PolicyKind::kBsdClustered, PolicyKind::kChain, PolicyKind::kTwoLevelRr,
-        PolicyKind::kLpNorm, PolicyKind::kQosGraph}) {
-    cases.push_back({PolicyKindName(kind), PolicyConfig::Of(kind)});
-  }
-  // The scan-based (non-kinetic) wait-varying variants keep separate
-  // bookkeeping and deserve their own round trip.
-  PolicyConfig lsf_scan = PolicyConfig::Of(PolicyKind::kLsf);
-  lsf_scan.use_kinetic_index = false;
-  cases.push_back({"lsf-scan", lsf_scan});
-  PolicyConfig bsd_scan = PolicyConfig::Of(PolicyKind::kBsd);
-  bsd_scan.use_kinetic_index = false;
-  cases.push_back({"bsd-scan", bsd_scan});
-  return cases;
-}
-
 TEST(SchedulerStateTest, ExportImportRoundTripPreservesPicks) {
-  for (const Case& c : AllCases()) {
-    SCOPED_TRACE(c.label);
+  for (const PolicyKind kind : kAllPolicies) {
+    SCOPED_TRACE(PolicyKindName(kind));
+    const PolicyConfig config = PolicyConfig::Of(kind);
     UnitTable original = MakeUnits();
-    std::unique_ptr<Scheduler> exporter = CreateScheduler(c.config);
+    std::unique_ptr<Scheduler> exporter = CreateScheduler(config);
     exporter->Attach(&original);
     FeedScript(original, *exporter);
     SimTime now = 30 * 0.003 + 0.01;
@@ -125,7 +107,7 @@ TEST(SchedulerStateTest, ExportImportRoundTripPreservesPicks) {
     // The migration target: identical queue contents, fresh scheduler,
     // imported bookkeeping.
     UnitTable copy = original;
-    std::unique_ptr<Scheduler> importer = CreateScheduler(c.config);
+    std::unique_ptr<Scheduler> importer = CreateScheduler(config);
     importer->Attach(&copy);
     importer->ImportState(exporter->ExportState(), now);
 
@@ -165,10 +147,11 @@ TEST(SchedulerStateTest, ResyncAloneReproducesPicksForStatDerivedPolicies) {
 }
 
 TEST(SchedulerStateTest, ImportOnEmptyQueuesIsANoOp) {
-  for (const Case& c : AllCases()) {
-    SCOPED_TRACE(c.label);
+  for (const PolicyKind kind : kAllPolicies) {
+    SCOPED_TRACE(PolicyKindName(kind));
+    const PolicyConfig config = PolicyConfig::Of(kind);
     UnitTable units = MakeUnits();
-    std::unique_ptr<Scheduler> scheduler = CreateScheduler(c.config);
+    std::unique_ptr<Scheduler> scheduler = CreateScheduler(config);
     scheduler->Attach(&units);
     scheduler->ImportState(SchedulerState{}, /*now=*/1.0);
     SchedulingCost cost;
