@@ -1,6 +1,6 @@
 #include "stream/arrival_process.h"
 
-#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -96,19 +96,79 @@ std::vector<Arrival> GenerateArrivals(ArrivalProcess& process, StreamId stream,
 }
 
 ArrivalTable MergeArrivalTables(std::vector<std::vector<Arrival>> per_stream) {
+  constexpr SimTime kExhausted = std::numeric_limits<SimTime>::infinity();
   ArrivalTable table;
-  size_t total = 0;
-  for (const auto& v : per_stream) total += v.size();
-  table.arrivals.reserve(total);
-  for (auto& v : per_stream) {
-    table.arrivals.insert(table.arrivals.end(), v.begin(), v.end());
+  if (per_stream.size() == 1) {
+    table.arrivals = std::move(per_stream.front());
+    SimTime previous = -kExhausted;
+    for (size_t i = 0; i < table.arrivals.size(); ++i) {
+      Arrival& a = table.arrivals[i];
+      AQSIOS_CHECK(std::isfinite(a.time) && a.time >= previous)
+          << "run 0 is not non-decreasing and finite at position " << i;
+      previous = a.time;
+      a.id = static_cast<ArrivalId>(i);
+    }
+    return table;
   }
-  std::stable_sort(table.arrivals.begin(), table.arrivals.end(),
-                   [](const Arrival& a, const Arrival& b) {
-                     return a.time < b.time;
-                   });
-  for (size_t i = 0; i < table.arrivals.size(); ++i) {
-    table.arrivals[i].id = static_cast<ArrivalId>(i);
+  size_t total = 0;
+  for (const auto& run : per_stream) total += run.size();
+  table.arrivals.reserve(total);
+  if (per_stream.empty()) return table;
+
+  // Tournament tree over the run heads. Leaf r (of `width`, a power of two)
+  // holds run r's head time; an exhausted or padding leaf holds +infinity,
+  // which the precondition makes later than every real time. Internal node
+  // n in [1, width) holds the run that lost the match played there, and
+  // `winner` the run whose head is next in the table.
+  const size_t runs = per_stream.size();
+  size_t width = 1;
+  while (width < runs) width *= 2;
+  std::vector<SimTime> head(width, kExhausted);
+  std::vector<size_t> cursor(runs, 0);
+  // Loads run r's head at its cursor, checking it against the previous head.
+  auto load = [&](size_t r) {
+    const std::vector<Arrival>& run = per_stream[r];
+    if (cursor[r] == run.size()) {
+      head[r] = kExhausted;
+      return;
+    }
+    const SimTime t = run[cursor[r]].time;
+    AQSIOS_CHECK(std::isfinite(t) && t >= head[r])
+        << "run " << r << " is not non-decreasing and finite at position "
+        << cursor[r];
+    head[r] = t;
+  };
+  // Whether run a's head goes before run b's: earlier time, then lower run.
+  auto before = [&](size_t a, size_t b) {
+    return head[a] < head[b] || (head[a] == head[b] && a < b);
+  };
+  for (size_t r = 0; r < runs; ++r) {
+    head[r] = -kExhausted;
+    load(r);
+  }
+
+  std::vector<size_t> loser(width);
+  std::vector<size_t> winners(2 * width);
+  for (size_t r = 0; r < width; ++r) winners[width + r] = r;
+  for (size_t n = width - 1; n >= 1; --n) {
+    size_t a = winners[2 * n];
+    size_t b = winners[2 * n + 1];
+    if (before(b, a)) std::swap(a, b);
+    winners[n] = a;
+    loser[n] = b;
+  }
+  size_t winner = winners[1];
+
+  for (size_t out = 0; out < total; ++out) {
+    Arrival a = per_stream[winner][cursor[winner]];
+    a.id = static_cast<ArrivalId>(out);
+    table.arrivals.push_back(a);
+    ++cursor[winner];
+    load(winner);
+    // Replay the winner's leaf-to-root path against the stored losers.
+    for (size_t n = (width + winner) / 2; n >= 1; n /= 2) {
+      if (before(loser[n], winner)) std::swap(loser[n], winner);
+    }
   }
   return table;
 }

@@ -122,8 +122,15 @@ std::vector<Arrival> GenerateArrivals(ArrivalProcess& process, StreamId stream,
                                       int64_t count, uint64_t seed,
                                       int32_t num_join_keys = 100);
 
-/// Merges per-stream arrival vectors into one time-ordered table and assigns
-/// dense ArrivalIds.
+/// Merges per-stream arrival vectors ("runs") into one time-ordered table
+/// and assigns dense ArrivalIds (an arrival's id is its table index).
+///
+/// Precondition: every run is non-decreasing in time and every time is
+/// finite. Every ArrivalProcess yields such runs; a violation aborts
+/// (AQSIOS_CHECK). Ties go to the lower run index, then to the earlier
+/// position in the run: the order a stable sort of the runs' concatenation
+/// gives. One tournament (loser-tree) merge writes each arrival once into a
+/// table reserved up front; a single run is moved, not copied.
 ArrivalTable MergeArrivalTables(std::vector<std::vector<Arrival>> per_stream);
 
 }  // namespace aqsios::stream

@@ -1,14 +1,48 @@
 #include "stream/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 namespace aqsios::stream {
 
 namespace {
+
 constexpr char kTraceHeader[] = "# aqsios-trace v1";
+
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Parses the first whitespace-separated field of `line` as a finite decimal
+/// number (std::from_chars syntax: no '+' sign, no hex). Text stuck to the
+/// number is malformed; so are further fields unless `more_fields` allows
+/// them. Returns nullptr on success, else why the line is malformed.
+const char* ParseTimestamp(std::string_view line, bool more_fields,
+                           SimTime* t) {
+  size_t begin = 0;
+  while (begin < line.size() && IsSpace(line[begin])) ++begin;
+  const char* first = line.data() + begin;
+  const char* last = line.data() + line.size();
+  const auto [end, error] = std::from_chars(first, last, *t);
+  if (error == std::errc::result_out_of_range) return "out of range";
+  if (error != std::errc() || end == first) return "not a number";
+  if (end != last && !IsSpace(*end)) return "text stuck to the number";
+  if (!more_fields && !std::all_of(end, last, IsSpace)) {
+    return "text after the number";
+  }
+  if (!std::isfinite(*t)) return "not finite";
+  return nullptr;
+}
+
+Status BadTimestamp(const std::string& path, int64_t line_number,
+                    const char* why) {
+  return Status::InvalidArgument("bad timestamp at " + path + ":" +
+                                 std::to_string(line_number) + ": " + why);
+}
+
 }  // namespace
 
 std::vector<SimTime> GenerateOnOffTrace(const OnOffConfig& config,
@@ -51,12 +85,10 @@ StatusOr<std::vector<SimTime>> ReadTrace(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
     SimTime t = 0.0;
-    if (!(row >> t)) {
-      return Status::InvalidArgument("bad timestamp at " + path + ":" +
-                                     std::to_string(line_number));
-    }
+    const char* why = ParseTimestamp(line, /*more_fields=*/false, &t);
+    if (why == nullptr && t < 0.0) why = "negative";
+    if (why != nullptr) return BadTimestamp(path, line_number, why);
     if (!timestamps.empty() && t < timestamps.back()) {
       return Status::InvalidArgument("decreasing timestamp at " + path + ":" +
                                      std::to_string(line_number));
@@ -77,12 +109,9 @@ StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
     SimTime t = 0.0;
-    if (!(row >> t)) {
-      return Status::InvalidArgument("bad timestamp at " + path + ":" +
-                                     std::to_string(line_number));
-    }
+    const char* why = ParseTimestamp(line, /*more_fields=*/true, &t);
+    if (why != nullptr) return BadTimestamp(path, line_number, why);
     timestamps.push_back(t);
   }
   if (timestamps.empty()) return timestamps;
@@ -90,6 +119,10 @@ StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path) {
   // rebase to zero.
   std::sort(timestamps.begin(), timestamps.end());
   const SimTime base = timestamps.front();
+  if (!std::isfinite(timestamps.back() - base)) {
+    return Status::InvalidArgument("timestamp range of " + path +
+                                   " overflows a double");
+  }
   for (SimTime& t : timestamps) t -= base;
   return timestamps;
 }

@@ -8,11 +8,15 @@
 // experiments can also be run against *real* trace timestamps if available:
 //
 //   # aqsios-trace v1
-//   # any number of comment lines
+//   # any number of comment lines (a '#' in the first column)
 //   <timestamp-seconds> per line, non-decreasing
 //
-// A real LBL-PKT-4 file (whitespace-separated "timestamp ..." lines) can be
-// converted with ReadTimestampColumn.
+// A timestamp line holds one finite, non-negative decimal number (as
+// std::from_chars reads it: no '+' sign, no hex) and optional surrounding
+// whitespace; empty lines are skipped. A real LBL-PKT-4 file
+// (whitespace-separated "timestamp ..." lines) can be converted with
+// ReadTimestampColumn. Both readers return InvalidArgument naming the line
+// of the first malformed one.
 
 #ifndef AQSIOS_STREAM_TRACE_H_
 #define AQSIOS_STREAM_TRACE_H_
@@ -35,12 +39,15 @@ std::vector<SimTime> GenerateOnOffTrace(const OnOffConfig& config,
 Status WriteTrace(const std::string& path,
                   const std::vector<SimTime>& timestamps);
 
-/// Reads an aqsios-trace file. Fails if timestamps decrease.
+/// Reads an aqsios-trace file. Fails with InvalidArgument on a line that is
+/// not exactly one finite, non-negative number, or if timestamps decrease;
+/// NotFound if the file cannot be opened.
 StatusOr<std::vector<SimTime>> ReadTrace(const std::string& path);
 
 /// Reads the first whitespace-separated column of every non-comment line as
-/// a timestamp (e.g. an ita.ee.lbl.gov packet trace). Timestamps are shifted
-/// so the first arrival is at 0.
+/// a timestamp (e.g. an ita.ee.lbl.gov packet trace). Further columns are
+/// ignored, but the first must be a finite number with no text stuck to it.
+/// Timestamps are sorted and shifted so the first arrival is at 0.
 StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path);
 
 /// Summary statistics of a trace, used to characterize burstiness.

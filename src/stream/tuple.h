@@ -28,16 +28,20 @@ using StreamId = int32_t;
 /// Following the paper's testbed (§8), each tuple carries a synthetic
 /// attribute uniform in [1, 100] used to realize operator selectivities, and
 /// a join key used by windowed joins.
+///
+/// The two 4-byte fields sit side by side so the record packs into 32 bytes
+/// with no padding: the arrival table is the simulator's largest input.
 struct Arrival {
   ArrivalId id = 0;
-  StreamId stream = 0;
   /// Arrival timestamp A_i (seconds).
   SimTime time = 0.0;
   /// Synthetic selectivity-control attribute, uniform real in (0, 100].
   double attribute = 0.0;
+  StreamId stream = 0;
   /// Join key for windowed joins.
   int32_t join_key = 0;
 };
+static_assert(sizeof(Arrival) == 32, "Arrival must stay 32 bytes");
 
 /// An arrival table: arrivals of all streams merged in non-decreasing time
 /// order. In a full workload table Arrival::id equals the index into

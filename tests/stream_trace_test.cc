@@ -64,6 +64,72 @@ TEST(TraceTest, ReadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+}
+
+TEST(TraceTest, ReadRejectsMalformedTimestamps) {
+  const std::string path = TempPath("malformed.trace");
+  // Each bad line follows a header and a good line, so it is line 3.
+  for (const char* bad : {"-1", "1.5abc", "0x10", "3 4", "inf", "nan", "-inf",
+                          "1e400", "1e-3e0", "+1", "1.5 # note", " "}) {
+    SCOPED_TRACE(bad);
+    WriteFile(path, std::string("# aqsios-trace v1\n0.5\n") + bad + "\n");
+    const auto result = ReadTrace(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("bad timestamp at " + path +
+                                             ":3"),
+              std::string::npos)
+        << result.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, ReadAcceptsSurroundingWhitespaceAndExponents) {
+  const std::string path = TempPath("spaced.trace");
+  WriteFile(path, "# aqsios-trace v1\n\n  0.5\t\r\n1.25e1 \n");
+  const auto result = ReadTrace(path);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result.value().size(), 2u);
+  EXPECT_EQ(result.value()[0], 0.5);
+  EXPECT_EQ(result.value()[1], 12.5);
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, ReadTimestampColumnRejectsTextStuckToTheFirstColumn) {
+  const std::string path = TempPath("lbl_malformed.trace");
+  for (const char* bad :
+       {"0x10 a b", "100.5abc c d", "100.5,c d", "nan a", "inf a", "x 1"}) {
+    SCOPED_TRACE(bad);
+    WriteFile(path, std::string("100.2 a b\n") + bad + "\n");
+    const auto result = ReadTimestampColumn(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("bad timestamp at " + path +
+                                             ":2"),
+              std::string::npos)
+        << result.status();
+  }
+  // Further columns, separated by any whitespace, are still ignored.
+  WriteFile(path, "100.5\tc d\n100.2 a\tb 40\r\n101.0\n");
+  const auto result = ReadTimestampColumn(path);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result.value().size(), 3u);
+  EXPECT_NEAR(result.value()[1], 0.3, 1e-9);
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, ReadTimestampColumnRejectsOverflowingRange) {
+  const std::string path = TempPath("lbl_range.trace");
+  WriteFile(path, "-1.7e308 a\n1.7e308 b\n");
+  const auto result = ReadTimestampColumn(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, ReadTimestampColumnSortsAndRebases) {
   const std::string path = TempPath("lbl.trace");
   {
