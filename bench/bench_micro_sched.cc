@@ -28,7 +28,13 @@
 //  * queue/... — TupleQueue (inline ring buffer) vs std::deque on the
 //    engine's shallow-queue churn pattern.
 //  * join/insert_probe — symmetric-hash-join insert+probe path.
+//  * histogram/add — obs::Histogram recording of continuous values (the
+//    shape of slowdowns and busy times: no value repeats), so every Add
+//    pays the full bucket lookup.
 //  * sim/<policy>/q=<n> — full Simulate cells on the §8 testbed workload.
+//    sim/hnr/q=2000 runs per-tuple HNR at 2000 queries, where each arrival
+//    fans out to 2000 chain units: the per-dispatch fixed cost (pick,
+//    delivery check, chain operators, emission) dominates.
 //  * sim/<policy>/q=<n>/ov=on/batch=<k> — overhead-charged Simulate cells
 //    across tuple-train batch sizes; each carries its deterministic virtual
 //    throughput (tuples_per_vsec), and batch>=8 must clear 1.5x the batch=1
@@ -44,6 +50,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -54,9 +61,11 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/rng.h"
 #include "core/dsms.h"
 #include "core/report.h"
 #include "exec/window_join.h"
+#include "obs/histogram.h"
 #include "query/workload.h"
 #include "sched/policy.h"
 #include "sched/unit.h"
@@ -508,6 +517,21 @@ int Main(int argc, char** argv) {
     }
   }));
 
+  // Histogram recording of continuous, log-uniform values over the default
+  // layout's range (1e-6 to 1e-6·2^40).
+  const int64_t histogram_ops = quick ? 100000 : 1000000;
+  std::vector<double> histogram_values;
+  histogram_values.reserve(static_cast<size_t>(histogram_ops));
+  Rng value_rng(static_cast<uint64_t>(seed));
+  for (int64_t i = 0; i < histogram_ops; ++i) {
+    histogram_values.push_back(1e-6 * std::exp2(value_rng.Uniform(0.0, 40.0)));
+  }
+  results.push_back(RunTimed("histogram/add", histogram_ops, reps, [&] {
+    obs::Histogram histogram;
+    for (const double value : histogram_values) histogram.Add(value);
+    KeepAlive(histogram.count());
+  }));
+
   // Full-simulation cells on the §8 testbed workload.
   query::WorkloadConfig config;
   config.num_queries = queries;
@@ -548,6 +572,13 @@ int Main(int argc, char** argv) {
     const query::Workload big_workload = query::GenerateWorkload(big);
     BenchSim(big_workload, "bsd", 500, reps, &results);
     BenchSim(big_workload, "lsf", 500, reps, &results);
+
+    // Per-tuple HNR at overload-admit's 2000 queries: each arrival becomes
+    // 2000 dispatches, so the cell measures the fixed cost of one.
+    query::WorkloadConfig wide = config;
+    wide.num_queries = 2000;
+    wide.num_arrivals = std::min<int64_t>(arrivals, 2000);
+    BenchSim(query::GenerateWorkload(wide), "hnr", 2000, reps, &results);
   }
 
   const double total_wall_ms = ElapsedMs(suite_start);

@@ -8,14 +8,6 @@
 
 namespace aqsios {
 
-void RunningStats::Add(double value) {
-  ++count_;
-  sum_ += value;
-  sum_squares_ += value * value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
 void RunningStats::Merge(const RunningStats& other) {
   if (other.count_ == 0) return;
   count_ += other.count_;

@@ -3,6 +3,7 @@
 #ifndef AQSIOS_COMMON_STATS_H_
 #define AQSIOS_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -20,6 +21,7 @@ class RunningStats {
  public:
   RunningStats() = default;
 
+  // Defined inline below: every emitted tuple adds to two or three of these.
   void Add(double value);
 
   /// Merges another accumulator into this one.
@@ -55,6 +57,14 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+inline void RunningStats::Add(double value) {
+  ++count_;
+  sum_ += value;
+  sum_squares_ += value * value;
+  min_ = std::min(min_, value);
+  max_ = std::max(max_, value);
+}
 
 /// Accumulates the generalized lp norm (sum |x|^p)^(1/p). p must be >= 1.
 /// p = 1 gives the total, p = 2 the paper's l2 metric; large p approaches the

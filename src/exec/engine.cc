@@ -23,6 +23,19 @@ constexpr uint64_t kJoinPairSalt = 0x301d9a00;
 constexpr int kSideOrdinalStride = 1000;
 constexpr int kCommonOrdinalBase = 1000000;
 
+// At most this many clock charges lie on any tuple's path through q: each
+// operator charges at most once per path.
+int PathChargeBound(const query::CompiledQuery& q) {
+  const query::QuerySpec& spec = q.spec();
+  size_t ops = spec.left_ops.size() + spec.right_ops.size() +
+               spec.common_ops.size() +
+               static_cast<size_t>(q.num_join_stages());
+  for (const query::JoinStage& stage : spec.extra_stages) {
+    ops += stage.side_ops.size();
+  }
+  return static_cast<int>(ops);
+}
+
 }  // namespace
 
 void RunCounters::Merge(const RunCounters& other) {
@@ -226,57 +239,52 @@ Engine::Engine(const query::GlobalPlan* plan,
     }
   }
 
-  // Columnar kernel plans: per-operator constants and fusion runs, pinned
-  // once here because the compiled plan is immutable for the whole run (the
-  // stats monitor adapts UnitStats, never OperatorSpec). Traced runs keep
-  // the scalar pass — it emits one kOperatorInvocation event per charge in
-  // clock order, which the batched replay cannot reproduce lazily.
-  columnar_ = config.use_columnar_kernels && batching_ && tracer_ == nullptr;
-  if (columnar_) {
-    unit_kernels_.resize(built_.units.size());
-    for (const sched::Unit& unit : built_.units) {
-      if (unit.kind != sched::UnitKind::kQueryChain &&
-          unit.kind != sched::UnitKind::kRemainder) {
-        continue;
-      }
-      const ChainFusion& fusion =
-          built_.chain_fusion[static_cast<size_t>(unit.id)];
-      // A stateful operator inside the segment leaves a gap no kernel
-      // covers; such units (none in validated plans) stay scalar.
-      if (!fusion.contiguous) continue;
-      const query::CompiledQuery& q = plan_->query(unit.query);
-      UnitKernelPlan& kplan = unit_kernels_[static_cast<size_t>(unit.id)];
-      kplan.enabled = true;
-      kplan.correlated = q.selectivity_mode() ==
-                         query::SelectivityMode::kCorrelatedAttribute;
-      kplan.from =
-          unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
-      kplan.n_ops = static_cast<int>(q.spec().left_ops.size());
-      for (int x = kplan.from; x < kplan.n_ops; ++x) {
-        const query::OperatorSpec& op =
-            q.spec().left_ops[static_cast<size_t>(x)];
-        KernelOp kop;
-        kop.cost = op.cost();
-        kop.selectivity = op.EffectiveActualSelectivity();
-        kop.threshold = kop.selectivity >= 1.0
-                            ? std::numeric_limits<double>::infinity()
-                            : kop.selectivity * 100.0;
-        kop.ordinal = x;
-        kplan.ops.push_back(kop);
-      }
-      kplan.runs = fusion.runs;
-      // Prefix-min thresholds per fused run (see KernelOp::run_prefix_min).
-      for (const FusedKernel& run : kplan.runs) {
-        double prefix_min = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < run.num_ops; ++i) {
-          KernelOp& kop = kplan.ops[static_cast<size_t>(
-              run.first_op - kplan.from + i)];
-          prefix_min = std::min(prefix_min, kop.threshold);
-          kop.run_prefix_min = prefix_min;
-        }
+  // The flat chain op table: per-operator constants of every single-stream
+  // query, pinned once here because the compiled plan is immutable for the
+  // whole run (the stats monitor adapts UnitStats, never OperatorSpec).
+  chains_.resize(static_cast<size_t>(plan->num_queries()));
+  for (const query::CompiledQuery& q : plan->queries()) {
+    if (q.is_multi_stream()) continue;
+    ChainPlan& chain = chains_[static_cast<size_t>(q.id())];
+    chain.begin = chain_ops_.size();
+    chain.n_ops = q.chain_length();
+    chain.correlated =
+        q.selectivity_mode() == query::SelectivityMode::kCorrelatedAttribute;
+    for (int x = 0; x < chain.n_ops; ++x) {
+      const query::OperatorSpec& op = q.spec().left_ops[static_cast<size_t>(x)];
+      KernelOp kop;
+      kop.cost = op.cost();
+      kop.selectivity = op.EffectiveActualSelectivity();
+      kop.threshold = kop.selectivity >= 1.0
+                          ? std::numeric_limits<double>::infinity()
+                          : kop.selectivity * 100.0;
+      kop.ordinal = x;
+      chain_ops_.push_back(kop);
+    }
+  }
+  // Prefix-min thresholds per fused run of each query's one chain unit (see
+  // KernelOp::run_prefix_min).
+  for (const sched::Unit& unit : built_.units) {
+    if (unit.kind != sched::UnitKind::kQueryChain &&
+        unit.kind != sched::UnitKind::kRemainder) {
+      continue;
+    }
+    KernelOp* ops =
+        chain_ops_.data() + chains_[static_cast<size_t>(unit.query)].begin;
+    for (const FusedKernel& run :
+         built_.chain_fusion[static_cast<size_t>(unit.id)].runs) {
+      double prefix_min = std::numeric_limits<double>::infinity();
+      for (int x = run.first_op; x < run.first_op + run.num_ops; ++x) {
+        prefix_min = std::min(prefix_min, ops[x].threshold);
+        ops[x].run_prefix_min = prefix_min;
       }
     }
   }
+
+  // Traced runs keep the scalar train pass — it emits one
+  // kOperatorInvocation event per charge in clock order, which the columnar
+  // replay cannot reproduce lazily.
+  columnar_ = config.use_columnar_kernels && batching_ && tracer_ == nullptr;
 }
 
 void Engine::Charge(SimTime cost) {
@@ -380,14 +388,28 @@ bool Engine::SharedOpPasses(const query::OperatorSpec& op,
   return FrozenBernoulli(key, selectivity);
 }
 
-bool Engine::RunChainOps(const query::CompiledQuery& q,
-                         const stream::Arrival& arrival, int from) {
-  const std::vector<query::OperatorSpec>& ops = q.spec().left_ops;
-  for (int x = from; x < static_cast<int>(ops.size()); ++x) {
-    const query::OperatorSpec& op = ops[static_cast<size_t>(x)];
-    Charge(op.cost());
-    if (!Passes(op, arrival, q, x)) {
-      DropTuple(q.id(), arrival.id);
+bool Engine::RunChainOps(query::QueryId q, const stream::Arrival& arrival,
+                         int from) {
+  // Passes() over the flat table, operator by operator: the same charges,
+  // the same comparisons (sel_scale_ is exactly 1.0 outside a drift run),
+  // the same frozen-draw keys.
+  const ChainPlan& chain = chains_[static_cast<size_t>(q)];
+  const KernelOp* ops = chain_ops_.data() + chain.begin;
+  for (int x = from; x < chain.n_ops; ++x) {
+    const KernelOp& op = ops[x];
+    Charge(op.cost);
+    const double selectivity = op.selectivity * sel_scale_;
+    if (selectivity >= 1.0) continue;
+    const bool passes =
+        chain.correlated
+            ? arrival.attribute <= selectivity * 100.0
+            : FrozenBernoulli(MixKeys(kFilterSalt,
+                                      static_cast<uint64_t>(arrival.id),
+                                      static_cast<uint64_t>(q),
+                                      static_cast<uint64_t>(x)),
+                              selectivity);
+    if (!passes) {
+      DropTuple(q, arrival.id);
       return false;
     }
   }
@@ -403,6 +425,10 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
   // measuring against the stale static ideal would reward policies for
   // ignoring the drift. Exactly 1.0 (bit-inert) outside a drift run.
   const double slowdown = response / (q.ideal_time() * charge_scale_);
+  AQSIOS_DCHECK_GE(slowdown, metrics::MinSlowdown(
+                                 now_, q.ideal_time() * charge_scale_,
+                                 PathChargeBound(q)))
+      << "slowdown below 1 implies response below ideal processing time";
   ++counters_.tuples_emitted;
   if (stats_monitor_ != nullptr) stats_monitor_->AddEmission();
   if (telemetry_ != nullptr) {
@@ -424,21 +450,19 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
 
 void Engine::ExecuteQueryChain(const sched::Unit& unit,
                                const sched::QueueEntry& entry) {
-  const query::CompiledQuery& q = plan_->query(unit.query);
   const stream::Arrival& arrival =
       arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(q, arrival, /*from=*/0)) {
-    EmitSingle(q, arrival.id, entry.arrival_time);
+  if (RunChainOps(unit.query, arrival, /*from=*/0)) {
+    EmitSingle(plan_->query(unit.query), arrival.id, entry.arrival_time);
   }
 }
 
 void Engine::ExecuteRemainder(const sched::Unit& unit,
                               const sched::QueueEntry& entry) {
-  const query::CompiledQuery& q = plan_->query(unit.query);
   const stream::Arrival& arrival =
       arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(q, arrival, unit.op_index)) {
-    EmitSingle(q, arrival.id, entry.arrival_time);
+  if (RunChainOps(unit.query, arrival, unit.op_index)) {
+    EmitSingle(plan_->query(unit.query), arrival.id, entry.arrival_time);
   }
 }
 
@@ -459,9 +483,8 @@ void Engine::ExecuteSharedGroup(const sched::Unit& unit,
   }
   // Members bundled with the shared operator execute now, in priority order.
   for (query::QueryId member : runtime.executed) {
-    const query::CompiledQuery& q = plan_->query(member);
-    if (RunChainOps(q, arrival, /*from=*/1)) {
-      EmitSingle(q, arrival.id, entry.arrival_time);
+    if (RunChainOps(member, arrival, /*from=*/1)) {
+      EmitSingle(plan_->query(member), arrival.id, entry.arrival_time);
     }
   }
   // PDT-excluded remainders become separately scheduled work.
@@ -515,6 +538,9 @@ void Engine::EmitComposite(const query::CompiledQuery& q,
       q.IdealCompositePathCost(composite.trigger_input);
   const SimTime response = now_ - composite.arrival_time;
   const double slowdown = 1.0 + (now_ - ideal_departure) / q.ideal_time();
+  AQSIOS_DCHECK_GE(slowdown, metrics::MinSlowdown(now_, q.ideal_time(),
+                                                  PathChargeBound(q)))
+      << "slowdown below 1 implies response below ideal processing time";
   ++counters_.tuples_emitted;
   if (stats_monitor_ != nullptr) stats_monitor_->AddEmission();
   if (telemetry_ != nullptr) {
@@ -679,10 +705,9 @@ void Engine::Enqueue(int unit_id, stream::ArrivalId arrival,
 }
 
 void Engine::DeliverArrivalsUpTo(SimTime time) {
-  while (next_arrival_ < arrivals_->size()) {
+  while (next_arrival_time_ <= time && next_arrival_ < arrivals_->size()) {
     const stream::Arrival& arrival =
         arrivals_->arrivals[static_cast<size_t>(next_arrival_)];
-    if (arrival.time > time) break;
     if (tracer_ != nullptr) {
       tracer_->Record({obs::EventKind::kTupleArrival, arrival.time, 0.0,
                        static_cast<int32_t>(arrival.stream), -1,
@@ -722,6 +747,10 @@ void Engine::DeliverArrivalsUpTo(SimTime time) {
     }
     if (elastic_ && delivered) ++elastic_arrivals_routed_;
     ++next_arrival_;
+    next_arrival_time_ =
+        next_arrival_ < arrivals_->size()
+            ? arrivals_->arrivals[static_cast<size_t>(next_arrival_)].time
+            : std::numeric_limits<SimTime>::infinity();
   }
 }
 
@@ -811,10 +840,11 @@ size_t Engine::TrainLength(const sched::Unit& unit) const {
 
 void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   const query::CompiledQuery& q = plan_->query(unit.query);
-  const std::vector<query::OperatorSpec>& ops = q.spec().left_ops;
+  const ChainPlan& chain = chains_[static_cast<size_t>(unit.query)];
+  const KernelOp* ops = chain_ops_.data() + chain.begin;
   const int from =
       unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
-  const int n_ops = static_cast<int>(ops.size());
+  const int n_ops = chain.n_ops;
   if (from >= n_ops) {
     for (size_t i = 0; i < count; ++i) {
       EmitSingle(
@@ -827,12 +857,9 @@ void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   for (uint32_t i = 0; i < static_cast<uint32_t>(count); ++i) {
     train_sel_.push_back(i);
   }
-  // The selectivity mode is a plan invariant: hoist it (and below, each
-  // operator's effective selectivity and derived threshold) out of the
-  // tuple loop. The predicate is a manually inlined Passes() and must stay
-  // in lockstep with it — same comparisons, same MixKeys key.
-  const bool correlated =
-      q.selectivity_mode() == query::SelectivityMode::kCorrelatedAttribute;
+  // The predicate is a manually inlined Passes() and must stay in lockstep
+  // with it — same comparisons, same MixKeys key. (Trains never drift, so
+  // no sel_scale_ factor applies.)
   const uint64_t query_key = static_cast<uint64_t>(q.id());
   // Operator-at-a-time over the surviving run: evaluate each chain operator
   // against every survivor before moving to the next operator, compacting
@@ -843,30 +870,28 @@ void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   // the charge/emit sequence is exactly the per-tuple RunChainOps +
   // EmitSingle sequence (ChargeBulk of one is Charge).
   for (int x = from; x < n_ops && !train_sel_.empty(); ++x) {
-    const query::OperatorSpec& op = ops[static_cast<size_t>(x)];
-    const SimTime cost = op.cost();
-    const double selectivity = op.EffectiveActualSelectivity();
-    const bool pass_all = selectivity >= 1.0;
-    const double threshold = selectivity * 100.0;
+    const KernelOp& op = ops[x];
+    const bool pass_all = op.selectivity >= 1.0;
+    const double threshold = op.selectivity * 100.0;
     const uint64_t ordinal = static_cast<uint64_t>(x);
     const bool last = x + 1 == n_ops;
     if (!last) {
-      ChargeBulk(cost, static_cast<int64_t>(train_sel_.size()));
+      ChargeBulk(op.cost, static_cast<int64_t>(train_sel_.size()));
     }
     size_t kept = 0;
     for (const uint32_t idx : train_sel_) {
       const sched::QueueEntry& entry = train_[idx];
       const stream::Arrival& arrival =
           arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-      if (last) Charge(cost);
+      if (last) Charge(op.cost);
       const bool passes =
           pass_all ||
-          (correlated
+          (chain.correlated
                ? arrival.attribute <= threshold
                : FrozenBernoulli(
                      MixKeys(kFilterSalt, static_cast<uint64_t>(arrival.id),
                              query_key, ordinal),
-                     selectivity));
+                     op.selectivity));
       if (!passes) {
         DropTuple(q.id(), arrival.id);
         continue;
@@ -968,8 +993,11 @@ void Engine::DepthKernelBernoulli(const uint32_t* sel, size_t n,
 void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
                                        size_t count) {
   const query::CompiledQuery& q = plan_->query(unit.query);
-  const UnitKernelPlan& kplan = unit_kernels_[static_cast<size_t>(unit.id)];
-  if (kplan.from >= kplan.n_ops) {
+  const ChainPlan& chain = chains_[static_cast<size_t>(unit.query)];
+  const KernelOp* ops = chain_ops_.data() + chain.begin;
+  const int from =
+      unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
+  if (from >= chain.n_ops) {
     for (size_t i = 0; i < count; ++i) {
       EmitSingle(q, col_id_[i], col_arrival_time_[i]);
     }
@@ -983,20 +1011,20 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
   // Lanes scan the columns in gathered order until the first compaction
   // writes a real selection vector.
   bool dense = true;
-  for (const FusedKernel& run : kplan.runs) {
+  for (const FusedKernel& run :
+       built_.chain_fusion[static_cast<size_t>(unit.id)].runs) {
     if (n == 0) break;
-    const KernelOp* run_ops =
-        kplan.ops.data() + (run.first_op - kplan.from);
+    const KernelOp* run_ops = ops + run.first_op;
     const int k = run.num_ops;
     // The run holding the chain's root operator (in a tiled segment: the
     // last run) keeps the root out of the depth kernel — its charges
     // interleave with emissions, handled below.
-    const bool rooted = run.first_op + k == kplan.n_ops;
+    const bool rooted = run.first_op + k == chain.n_ops;
     const int k_pred = rooted ? k - 1 : k;
 
     if (k_pred > 0) {
       const uint32_t* lanes = dense ? nullptr : sel;
-      if (kplan.correlated) {
+      if (chain.correlated) {
         // Per-operator survivor counts straight off the attribute column.
         CountReachAttribute(lanes, n, run_ops, k_pred);
       } else {
@@ -1035,7 +1063,7 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
       // prefix-min bound (one comparison); Bernoulli runs survive iff the
       // lane's depth covers the run.
       size_t kept = 0;
-      if (kplan.correlated) {
+      if (chain.correlated) {
         const double bound = run_ops[k_pred - 1].run_prefix_min;
         if (dense) {
           for (size_t j = 0; j < n; ++j) {
@@ -1080,7 +1108,7 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
       ++counters_.operator_invocations;
       if (track_stats) stats_monitor_->AddBusyTime(root.cost);
       const bool passes =
-          kplan.correlated
+          chain.correlated
               ? col_attr_[row] <= root.threshold
               : FrozenUniform(MixKeys(
                     kFilterSalt, static_cast<uint64_t>(col_id_[row]),
@@ -1101,8 +1129,13 @@ void Engine::ExecuteUnitTrain(int unit_id) {
   AQSIOS_CHECK(unit.has_pending())
       << "scheduler picked empty unit " << unit_id;
   const size_t count = TrainLength(unit);
+  // A stateful operator inside a chain segment would leave a gap no kernel
+  // covers; such units (none in validated plans) stay scalar.
   const bool columnar =
-      columnar_ && unit_kernels_[static_cast<size_t>(unit_id)].enabled;
+      columnar_ &&
+      (unit.kind == sched::UnitKind::kQueryChain ||
+       unit.kind == sched::UnitKind::kRemainder) &&
+      built_.chain_fusion[static_cast<size_t>(unit_id)].contiguous;
   if (columnar) {
     // Gather: one pass converting the drained AoS queue entries into the
     // SoA columns the kernels scan. The train_ scratch stays untouched —
@@ -1235,6 +1268,9 @@ RunCounters Engine::Run() {
 void Engine::Begin() {
   AQSIOS_CHECK(!ran_) << "Engine::Run may be called once";
   ran_ = true;
+  next_arrival_time_ = arrivals_->size() > 0
+                           ? arrivals_->arrivals.front().time
+                           : std::numeric_limits<SimTime>::infinity();
   DeliverArrivalsUpTo(now_);
 }
 
@@ -1251,14 +1287,12 @@ bool Engine::RunUntil(SimTime barrier) {
     cost.Clear();
     if (!scheduler_->PickNext(now_, &cost, &picked_)) {
       if (next_arrival_ >= arrivals_->size()) return true;  // drained
-      const SimTime next_time =
-          arrivals_->arrivals[static_cast<size_t>(next_arrival_)].time;
       // The next arrival is beyond the barrier: pause idle. The idle jump —
       // and its delivery and telemetry publish — happens unchanged in the
       // epoch whose barrier covers it, so the eventual state transitions are
       // those of the unbarriered loop.
-      if (next_time > barrier) return false;
-      now_ = std::max(now_, next_time);
+      if (next_arrival_time_ > barrier) return false;
+      now_ = std::max(now_, next_arrival_time_);
       DeliverArrivalsUpTo(now_);
       // Idle jumps still publish: a sampler watching the cell must see the
       // clock advance even through arrival gaps, or the watchdog would
@@ -1312,8 +1346,11 @@ bool Engine::RunUntil(SimTime barrier) {
     if (calibrator_ != nullptr) calibrator_->MaybeCalibrate(now_);
     // Execution may push the clock past the barrier; deliveries are clamped
     // so the arrival cursor is frozen at the barrier for migrations, and the
-    // withheld tail lands at the next RunUntil's entry catch-up.
-    DeliverArrivalsUpTo(std::min(now_, barrier));
+    // withheld tail lands at the next RunUntil's entry catch-up. Most
+    // dispatches end before the next arrival: test that without a call.
+    if (next_arrival_time_ <= now_ && next_arrival_time_ <= barrier) {
+      DeliverArrivalsUpTo(std::min(now_, barrier));
+    }
   }
   return false;  // barrier reached
 }

@@ -136,6 +136,12 @@ struct EngineConfig {
   stream::DriftConfig drift;
 };
 
+/// Bucket layout of queue-length histograms: queue lengths are small
+/// integers, so the first bucket edge sits at 1 tuple. (A named constant
+/// rather than an inline temporary: GCC 12 reports a false-positive
+/// -Wdangling-pointer on the temporary in a default member initializer.)
+inline constexpr obs::HistogramOptions kQueueLengthHistogram{.min_value = 1.0};
+
 /// Execution counters of one run.
 struct RunCounters {
   int64_t scheduling_points = 0;
@@ -198,7 +204,7 @@ struct RunCounters {
   /// counters merge exactly: quantiles are pure functions of the merged
   /// buckets, so Merge can rebuild the summaries from combined counts
   /// instead of approximating from pre-digested quantiles.
-  obs::Histogram queue_length_hist{{.min_value = 1.0}};
+  obs::Histogram queue_length_hist{kQueueLengthHistogram};
   obs::Histogram exec_busy_hist;
 
   /// Sampled response-time decomposition (empty when sampling is disabled).
@@ -335,13 +341,13 @@ class Engine {
   void ExecuteChainTrain(const sched::Unit& unit, size_t count);
 
   /// Columnar counterpart of ExecuteChainTrain: runs the gathered column
-  /// train through the unit's fused kernels (UnitKernelPlan below). The
-  /// branch-free predicate kernels compute each lane's survived depth; the
-  /// depths then drive an exact replay of the scalar pass's
-  /// operator-at-a-time clock/counter sequence (floating-point accumulation
-  /// is order-sensitive, so the replay repeats the very same additions —
-  /// never a multiply) before survivors are compacted and the root operator
-  /// emits in selection order.
+  /// train through the unit's fused runs (built_.chain_fusion) over the
+  /// query's flat op table (chains_ below). The branch-free predicate
+  /// kernels compute each lane's survived depth; the depths then drive an
+  /// exact replay of the scalar pass's operator-at-a-time clock/counter
+  /// sequence (floating-point accumulation is order-sensitive, so the replay
+  /// repeats the very same additions — never a multiply) before survivors
+  /// are compacted and the root operator emits in selection order.
   void ExecuteChainTrainColumnar(const sched::Unit& unit, size_t count);
   /// Grows the column scratch to hold `n` tuples (power-of-two growth;
   /// cache-line-aligned columns carved from column_arena_).
@@ -374,10 +380,12 @@ class Engine {
   bool SharedOpPasses(const query::OperatorSpec& op,
                       const stream::Arrival& arrival, int group) const;
 
-  /// Runs chain operators [from, end) of single-stream query q on `arrival`,
-  /// charging costs; returns true if the tuple survives.
-  bool RunChainOps(const query::CompiledQuery& q,
-                   const stream::Arrival& arrival, int from);
+  /// Runs chain operators [from, end) of single-stream query q on `arrival`
+  /// from the flat op table (chains_), charging costs; returns true if the
+  /// tuple survives. The one per-tuple chain path: chain and remainder
+  /// units, shared-group members, drift and traced runs alike.
+  bool RunChainOps(query::QueryId q, const stream::Arrival& arrival,
+                   int from);
 
   void EmitSingle(const query::CompiledQuery& q, stream::ArrivalId arrival,
                   SimTime arrival_time);
@@ -462,6 +470,9 @@ class Engine {
 
   SimTime now_ = 0.0;
   int64_t next_arrival_ = 0;
+  /// Time of arrivals_[next_arrival_], +infinity once the table is
+  /// exhausted: the run loop delivers only when an arrival is due.
+  SimTime next_arrival_time_ = 0.0;
   int64_t queued_tuples_ = 0;
   SimTime last_occupancy_time_ = 0.0;
   double queued_tuple_seconds_ = 0.0;
@@ -493,40 +504,42 @@ class Engine {
   std::vector<sched::QueueEntry> train_;
   std::vector<uint32_t> train_sel_;
 
-  /// --- Columnar train path (EngineConfig::use_columnar_kernels) ---
-  /// Build-time constants of one chain operator, denormalized so the kernel
-  /// lane loops read plain scalars instead of chasing the plan.
+  /// --- Flat chain op table (per-tuple, scalar-train and columnar paths) ---
+  /// Build-time constants of one chain operator, denormalized so the
+  /// per-tuple loop and the kernel lane loops read plain scalars instead of
+  /// chasing CompiledQuery -> QuerySpec -> left_ops.
   struct KernelOp {
+    /// OperatorSpec::cost(), already in SimTime.
     SimTime cost = 0.0;
     /// EffectiveActualSelectivity() of the operator.
     double selectivity = 1.0;
-    /// Correlated-attribute predicate bound: the exact IEEE product
-    /// selectivity * 100 the scalar Passes computes, or +infinity for a
-    /// pass-everything operator (selectivity >= 1) so the kernel comparison
-    /// stays branch-free in that case too.
+    /// Correlated-attribute predicate bound for the columnar kernels: the
+    /// exact IEEE product selectivity * 100 the scalar Passes computes, or
+    /// +infinity for a pass-everything operator (selectivity >= 1) so the
+    /// kernel comparison stays branch-free in that case too. (Kernels never
+    /// run under drift, so no sel_scale_ factor applies.)
     double threshold = 0.0;
     /// Correlated plans: min(threshold) over the ops of this op's fused run
     /// up to and including this one. A lane survives a correlated run's
     /// prefix [0..x] iff attr <= run_prefix_min of op x (the same IEEE
     /// comparisons the scalar chain performs, just collapsed), which is what
     /// lets the reach kernel count survivors per operator without tracking
-    /// per-lane depth.
+    /// per-lane depth. Set for the ops of the query's chain unit's fused
+    /// runs.
     double run_prefix_min = 0.0;
     /// Absolute chain position (the frozen-draw ordinal).
     int ordinal = 0;
   };
-  /// Columnar execution plan of one unit; `enabled` only for chain units
-  /// whose fusion tiles the whole segment (FuseChainOps contiguous).
-  struct UnitKernelPlan {
-    bool enabled = false;
+  /// Chain of one single-stream query: operator x is chain_ops_[begin + x].
+  struct ChainPlan {
+    size_t begin = 0;
+    int n_ops = 0;
     /// Selectivity realized as an attribute threshold (vs a frozen draw).
     bool correlated = false;
-    int from = 0;   // first chain position of the segment
-    int n_ops = 0;  // chain length
-    /// Segment operators, indexed by (chain position - from).
-    std::vector<KernelOp> ops;
-    std::vector<FusedKernel> runs;
   };
+  /// Indexed by query id; multi-stream queries hold an empty chain.
+  std::vector<ChainPlan> chains_;
+  std::vector<KernelOp> chain_ops_;
 
   /// Correlated-attribute reach kernel: fills kernel_reach_[0..k] with the
   /// number of lanes charged for each operator of the run (reach[x] = lanes
@@ -547,10 +560,10 @@ class Engine {
   void DepthKernelBernoulli(const uint32_t* sel, size_t n,
                             const KernelOp* ops, int k, uint64_t query_key);
 
-  /// Indexed by unit id; sized (and consulted) only when columnar_.
-  std::vector<UnitKernelPlan> unit_kernels_;
   /// Columnar path engaged: use_columnar_kernels && batched dispatcher &&
-  /// no tracer (the tracer wants per-invocation events in clock order).
+  /// no tracer (the tracer wants per-invocation events in clock order). It
+  /// runs the chain units whose fusion tiles the whole segment
+  /// (built_.chain_fusion contiguous).
   bool columnar_ = false;
   /// Arena backing the column scratch; reset and re-carved on growth.
   Arena column_arena_;
@@ -593,8 +606,7 @@ class Engine {
   double telemetry_slowdown_sum_ = 0.0;
   int64_t telemetry_slowdown_count_ = 0;
   double telemetry_max_slowdown_ = 0.0;
-  /// Queue lengths are small integers: first bucket edge at 1 tuple.
-  obs::Histogram queue_len_hist_{{.min_value = 1.0}};
+  obs::Histogram queue_len_hist_{kQueueLengthHistogram};
   obs::Histogram exec_busy_hist_;
   obs::StageAttribution attribution_;
   /// Unit/query of the execution in progress (trace context for operator

@@ -85,9 +85,6 @@ class SymmetricHashJoinState {
   /// Number of resident entries on `side`.
   int64_t size(query::Side side) const;
 
-  /// Pool occupancy (live + recycled nodes), for tests and diagnostics.
-  int64_t pooled_nodes() const { return pool_.live() + pool_.free_count(); }
-
  private:
   enum class WindowKind { kTime, kRow };
 

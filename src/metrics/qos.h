@@ -41,6 +41,18 @@ struct ClassKey {
 
 ClassKey MakeClassKey(int cost_class, double selectivity);
 
+/// The lowest slowdown an emission at virtual clock `now` can report for a
+/// tuple with ideal processing time `ideal_time` whose path charged the
+/// clock at most `path_charges` times. In exact arithmetic it is 1. The
+/// clock is a double, though: each charge rounds it by up to half an ulp of
+/// `now`, and the ideal departure (arrival + path cost) by half an ulp
+/// more, so a tuple that never waited can read up to
+/// (path_charges + 1) · ulp(now) / (2 · ideal_time) below 1. At t = 16 s a
+/// 9.6e-7 s composite loses 3.7e-9 per ulp. The 1e-9 floor covers the
+/// rounding of the ideal time itself, and is the bound wherever the clock
+/// resolves finer than that.
+double MinSlowdown(SimTime now, SimTime ideal_time, int path_charges);
+
 /// One emitted tuple, recorded verbatim when Options::track_outputs is set.
 /// The (query, arrival_time) pair identifies the tuple across runs of the
 /// same workload, so golden-trace tests can compare per-tuple response times

@@ -1,5 +1,6 @@
 #include "obs/chrome_trace.h"
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -164,7 +165,11 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events,
   const int64_t query_base =
       meta.num_shards > 1 ? int64_t{2} * meta.num_shards : kQueryTidBase;
   for (int q = 0; q < meta.num_queries; ++q) {
-    WriteThreadName(json, query_base + q, "Q" + std::to_string(q));
+    // Built with snprintf: GCC 12 flags `"Q" + std::to_string(q)` with a
+    // false-positive -Wrestrict.
+    char query_name[16];
+    std::snprintf(query_name, sizeof(query_name), "Q%d", q);
+    WriteThreadName(json, query_base + q, query_name);
   }
   for (const TraceEvent& event : events) {
     WriteEvent(json, event, meta.num_shards);

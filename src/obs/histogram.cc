@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -13,57 +14,61 @@ Histogram::Histogram(const HistogramOptions& options) : options_(options) {
   AQSIOS_CHECK_GT(options.min_value, 0.0);
   AQSIOS_CHECK_GT(options.growth, 1.0);
   AQSIOS_CHECK_GE(options.max_buckets, 2);
+  AQSIOS_CHECK_LE(options.max_buckets,
+                  std::numeric_limits<uint16_t>::max());
   log_growth_ = std::log(options.growth);
-  // Fast-path tables for BucketIndex. `edges_[k]` is the smallest value the
-  // reference formula `1 + floor(log(v/min)/log(growth) + 1e-9)` maps to
-  // bucket k, so "largest k with edges_[k] <= v" reproduces it (up to the
-  // last-ulp rounding of the edge itself). The 64-entry mantissa table turns
-  // log2 into an exponent read plus one lookup; its granularity error
-  // (< 0.023 octaves) is absorbed by the +-1 edge correction steps below.
-  inv_log2_growth_ = 1.0 / std::log2(options.growth);
-  log2_min_ = std::log2(options.min_value);
-  edges_.resize(static_cast<size_t>(options.max_buckets));
+  // edges_[k] is the smallest value the formula
+  // `1 + floor(log(v/min)/log(growth) + 1e-9)` maps to bucket k (up to the
+  // last-ulp rounding of the edge itself); a value's bucket is the largest
+  // k with edges_[k] <= v.
+  const int last = options.max_buckets - 1;
+  edges_.resize(static_cast<size_t>(options.max_buckets) + 1);
   edges_[0] = 0.0;
-  for (int k = 1; k < options.max_buckets; ++k) {
+  for (int k = 1; k <= last; ++k) {
     edges_[static_cast<size_t>(k)] =
         options.min_value * std::exp(log_growth_ * (k - 1 - 1e-9));
   }
-  for (int i = 0; i < 64; ++i) {
-    log2_mantissa_[static_cast<size_t>(i)] =
-        std::log2(1.0 + (static_cast<double>(i) + 0.5) / 64.0);
-  }
-}
+  edges_[static_cast<size_t>(last) + 1] =
+      std::numeric_limits<double>::infinity();
 
-int Histogram::BucketIndex(double value) const {
-  if (value < options_.min_value) return 0;
-  // log2(value) from the exponent bits plus a mantissa-table refinement;
-  // value >= min_value > 0 here, so it is a normal (or at worst subnormal
-  // with min_value subnormal, which the options CHECKs exclude) double.
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  const int exponent = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
-  const double log2_value =
-      static_cast<double>(exponent) + log2_mantissa_[(bits >> 46) & 63];
-  const int last = options_.max_buckets - 1;
-  // Clamp while still a double: converting an out-of-range double to int is
-  // undefined, and the scaled offset exceeds int range for huge values under
-  // a growth barely above 1 (inv_log2_growth_ in the millions). The negated
-  // comparison also pins NaN — which fails every ordered comparison,
-  // including the min_value gate above — into the last bucket rather than
-  // feeding it to the cast.
-  const double scaled =
-      (log2_value - log2_min_) * inv_log2_growth_ + 1e-9;
-  int index;
-  if (!(scaled < static_cast<double>(last))) {
-    index = last;
-  } else {
-    index = std::clamp(1 + static_cast<int>(scaled), 1, last);
+  // One entry per sub-octave from min_value's through the last edge's: the
+  // bucket of the sub-octave's smallest value >= min_value. Past the last
+  // edge's sub-octave every value is in the last bucket. A sub-octave of m
+  // mantissa bits spans a ratio of at most 1 + 2^-m; at most half a bucket
+  // keeps each to one edge whatever the edges' last-ulp rounding.
+  int mantissa_bits = 6;
+  while (std::ldexp(1.0, -mantissa_bits) >= (options.growth - 1.0) / 2.0) {
+    ++mantissa_bits;
   }
-  while (index < last && value >= edges_[static_cast<size_t>(index) + 1]) {
-    ++index;
+  AQSIOS_CHECK_LE(mantissa_bits, 52) << "growth too close to 1";
+  sub_octave_shift_ = 52 - mantissa_bits;
+  first_sub_octave_ = SubOctave(options.min_value);
+  const uint64_t last_sub_octave = SubOctave(
+      std::min(edges_[static_cast<size_t>(last)],
+               std::numeric_limits<double>::max()));
+  first_bucket_.resize(
+      static_cast<size_t>(last_sub_octave - first_sub_octave_ + 1));
+  int bucket = 1;
+  for (uint64_t s = first_sub_octave_; s <= last_sub_octave; ++s) {
+    const uint64_t start_bits = s << sub_octave_shift_;
+    double start;
+    std::memcpy(&start, &start_bits, sizeof(start));
+    start = std::max(start, options.min_value);
+    while (bucket < last &&
+           edges_[static_cast<size_t>(bucket) + 1] <= start) {
+      ++bucket;
+    }
+    first_bucket_[static_cast<size_t>(s - first_sub_octave_)] =
+        static_cast<uint16_t>(bucket);
+    // The one-comparison lookup is exact only if the sub-octave ends before
+    // the edge after next.
+    const uint64_t end_bits = (s + 1) << sub_octave_shift_;
+    double end;
+    std::memcpy(&end, &end_bits, sizeof(end));
+    AQSIOS_CHECK(bucket + 2 > last ||
+                 edges_[static_cast<size_t>(bucket) + 2] >= end)
+        << "two bucket edges in one sub-octave";
   }
-  while (index > 1 && value < edges_[static_cast<size_t>(index)]) --index;
-  return index;
 }
 
 double Histogram::BucketLowerEdge(int i) const {

@@ -17,7 +17,6 @@
 #define AQSIOS_OBS_HISTOGRAM_H_
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -58,9 +57,13 @@ class Histogram {
   explicit Histogram(const HistogramOptions& options);
 
   // Defined inline below: recording runs once or twice per scheduling point
-  // (~10^6/s in a sweep cell), so the common cache-hit path must not pay a
-  // call.
+  // (~10^6/s in a sweep cell), so it must not pay a call.
   void Add(double value);
+
+  /// The bucket `value` lands in: 0 below min_value, the last bucket for
+  /// values past the range and for NaN, and otherwise the largest k with
+  /// edges_[k] <= value. One table read and at most one edge comparison.
+  int BucketIndex(double value) const;
 
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -94,32 +97,30 @@ class Histogram {
   std::string ToString() const;
 
  private:
-  int BucketIndex(double value) const;
-
-  /// Memoized BucketIndex. Add() is on the engine's per-scheduling-point
-  /// hot path and the recorded streams repeat values heavily (integer queue
-  /// lengths random-walking in a narrow band, per-query-constant busy
-  /// times), so a small open-addressed value→index cache skips the std::log
-  /// most of the time. Pure memoization of BucketIndex — the resulting
-  /// bucket index, and hence every summary and quantile, is bit-identical
-  /// with or without it.
-  struct CacheSlot {
-    // NaN never compares equal, so fresh slots never hit.
-    double value = std::numeric_limits<double>::quiet_NaN();
-    int index = 0;
-  };
-  static constexpr size_t kCacheSlots = 1024;  // power of two
+  /// A value's sub-octave: its exponent and the top mantissa bits above
+  /// sub_octave_shift_ (for positive doubles the keys order like the
+  /// values).
+  uint64_t SubOctave(double value) const {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits >> sub_octave_shift_;
+  }
 
   HistogramOptions options_;
   double log_growth_ = 0.0;
-  double inv_log2_growth_ = 0.0;
-  double log2_min_ = 0.0;
-  /// Precomputed bucket lower edges (see constructor) — lets BucketIndex
-  /// replace std::log with an exponent read, a table lookup, and at most a
-  /// couple of edge comparisons.
+  /// edges_[k] is the smallest value bucket k >= 1 takes (edges_[0] = 0);
+  /// a +infinity sentinel follows the last bucket's edge.
   std::vector<double> edges_;
-  std::array<double, 64> log2_mantissa_{};
-  std::array<CacheSlot, kCacheSlots> cache_;
+  /// first_bucket_[s - first_sub_octave_] is the bucket of the smallest
+  /// value >= min_value in sub-octave s, for every sub-octave from
+  /// min_value's through the last edge's. Sub-octaves split each octave
+  /// finely enough (64 ways for any growth > 1 + 2^-5, the default
+  /// included; finer for tighter growth) that each holds at most one edge:
+  /// a value's bucket is its sub-octave's first bucket, or the next one if
+  /// it reaches the next edge.
+  std::vector<uint16_t> first_bucket_;
+  uint64_t first_sub_octave_ = 0;
+  int sub_octave_shift_ = 46;
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
   int64_t overflow_ = 0;
@@ -127,6 +128,16 @@ class Histogram {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+inline int Histogram::BucketIndex(double value) const {
+  if (value < options_.min_value) return 0;
+  // Unsigned: NaN (either sign) and values past the last edge's sub-octave
+  // fall off the table's end into the last bucket.
+  const uint64_t slot = SubOctave(value) - first_sub_octave_;
+  if (slot >= first_bucket_.size()) return options_.max_buckets - 1;
+  const int index = first_bucket_[slot];
+  return index + (value >= edges_[static_cast<size_t>(index) + 1] ? 1 : 0);
+}
 
 inline void Histogram::Add(double value) {
   if (count_ == 0) {
@@ -137,18 +148,7 @@ inline void Histogram::Add(double value) {
   }
   ++count_;
   sum_ += value;
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  CacheSlot& slot = cache_[(bits * 0x9E3779B97F4A7C15ull) >>
-                           (64 - 10)];  // top 10 bits: kCacheSlots == 1024
-  int index;
-  if (slot.value == value) {
-    index = slot.index;
-  } else {
-    index = BucketIndex(value);
-    slot.value = value;
-    slot.index = index;
-  }
+  const int index = BucketIndex(value);
   if (index == options_.max_buckets - 1 &&
       value >= BucketUpperEdge(index)) {
     ++overflow_;

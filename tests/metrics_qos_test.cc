@@ -14,6 +14,42 @@ TEST(ClassKeyTest, DecileRounding) {
   EXPECT_EQ(MakeClassKey(0, 0.16).selectivity_decile, 2);
 }
 
+TEST(MinSlowdownTest, AdmitsOneUlpOfCancellationAtSixteenSeconds) {
+  // A composite of ideal time 9.6e-7 s whose trigger arrives at t = 16.0014 s
+  // and runs its three path operators at once. Its response is a difference
+  // of absolute clock values, and one ulp of the clock at 16 s (3.6e-15 s)
+  // is 3.7e-9 of slowdown: the emission computes 1 - 3.7e-9, below the old
+  // fixed 1 - 1e-9 floor.
+  const SimTime ideal_time = 9.6e-7;
+  const SimTime charges[] = {1.2e-7, 2.4e-7, 1.2e-7};
+  const SimTime arrival = 16.0014;
+  SimTime path_cost = 0.0;
+  SimTime now = arrival;
+  for (const SimTime cost : charges) {
+    path_cost += cost;
+    now += cost;
+  }
+  const SimTime ideal_departure = arrival + path_cost;
+  const double slowdown = 1.0 + (now - ideal_departure) / ideal_time;
+  EXPECT_LT(slowdown, 1.0 - 1e-9);
+  EXPECT_GE(slowdown, MinSlowdown(now, ideal_time, /*path_charges=*/3));
+  // The bound is tight to the clock: a deficit of a few ulps more fails.
+  EXPECT_LT(1.0 - 4.0 * (1.0 - slowdown),
+            MinSlowdown(now, ideal_time, /*path_charges=*/3));
+}
+
+TEST(MinSlowdownTest, StaysAtOneMinusOneBillionthWhereTheClockResolves) {
+  // Early in a run, or for slow queries, the clock resolves far finer than
+  // 1e-9 of the ideal time: the fixed floor is the bound.
+  EXPECT_EQ(MinSlowdown(0.0, 1e-3, 5), 1.0 - 1e-9);
+  EXPECT_EQ(MinSlowdown(1.0, 1e-3, 5), 1.0 - 1e-9);
+  EXPECT_EQ(MinSlowdown(100.0, 0.1, 3), 1.0 - 1e-9);
+  // It loosens only in proportion to ulp(now) / ideal_time.
+  EXPECT_LT(MinSlowdown(16.0, 9.6e-7, 3), 1.0 - 1e-9);
+  EXPECT_LT(MinSlowdown(32.0, 9.6e-7, 3), MinSlowdown(16.0, 9.6e-7, 3));
+  EXPECT_LT(MinSlowdown(16.0, 9.6e-7, 7), MinSlowdown(16.0, 9.6e-7, 3));
+}
+
 TEST(ClassKeyTest, Ordering) {
   const ClassKey a = MakeClassKey(0, 0.5);
   const ClassKey b = MakeClassKey(0, 0.6);

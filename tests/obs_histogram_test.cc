@@ -9,6 +9,7 @@
 
 #include "common/json.h"
 #include "common/rng.h"
+#include "histogram_oracle.h"
 #include "obs/registry.h"
 
 namespace aqsios::obs {
@@ -210,6 +211,79 @@ TEST(HistogramTest, ToStringListsNonEmptyBuckets) {
   histogram.Add(3.0);
   const std::string text = histogram.ToString();
   EXPECT_NE(text.find("[2, 4)"), std::string::npos) << text;
+}
+
+/// Checks the table lookup against the reference index on every edge, the
+/// double just below it, and the special values; returns the mismatches.
+int64_t EdgeMismatches(const HistogramOptions& options) {
+  const Histogram histogram(options);
+  const testing::ReferenceBucketIndex oracle(options);
+  int64_t mismatches = 0;
+  const auto check = [&](double v) {
+    if (histogram.BucketIndex(v) != oracle(v)) {
+      ADD_FAILURE() << "value " << v << ": table " << histogram.BucketIndex(v)
+                    << ", oracle " << oracle(v);
+      ++mismatches;
+    }
+  };
+  for (const double edge : oracle.edges()) {
+    check(edge);
+    check(std::nextafter(edge, 0.0));
+    check(std::nextafter(edge, std::numeric_limits<double>::infinity()));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, -1.0, options.min_value,
+        std::nextafter(options.min_value, 0.0),
+        std::nextafter(options.min_value, inf), 1e300, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min()}) {
+    check(v);
+  }
+  return mismatches;
+}
+
+/// 10 M log-uniform values from min_value·2^-8 to min_value·2^50 through
+/// both lookups; returns the mismatches.
+int64_t SeededMismatches(const HistogramOptions& options, uint64_t seed) {
+  const Histogram histogram(options);
+  const testing::ReferenceBucketIndex oracle(options);
+  Rng rng(seed);
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < 10'000'000; ++i) {
+    const double v = options.min_value * std::exp2(rng.Uniform(-8.0, 50.0));
+    if (histogram.BucketIndex(v) != oracle(v)) {
+      if (mismatches == 0) {
+        ADD_FAILURE() << "value " << v << ": table "
+                      << histogram.BucketIndex(v) << ", oracle " << oracle(v);
+      }
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(HistogramBucketIndexTest, TableMatchesOracleOnDefaultLayout) {
+  EXPECT_EQ(EdgeMismatches({}), 0);
+  EXPECT_EQ(SeededMismatches({}, 42), 0);
+}
+
+TEST(HistogramBucketIndexTest, TableMatchesOracleOnUnitMinimum) {
+  EXPECT_EQ(EdgeMismatches({.min_value = 1.0}), 0);
+  EXPECT_EQ(SeededMismatches({.min_value = 1.0}, 7), 0);
+}
+
+TEST(HistogramBucketIndexTest, TableMatchesOracleOnCoarseAndTightGrowth) {
+  // Growth 2 keeps 64 sub-octaves per octave; the tight growth needs finer
+  // ones to keep a single edge in each.
+  EXPECT_EQ(EdgeMismatches({.min_value = 1.0, .growth = 2.0,
+                            .max_buckets = 8}),
+            0);
+  EXPECT_EQ(EdgeMismatches({.min_value = 1.0, .growth = 1.0000001,
+                            .max_buckets = 64}),
+            0);
 }
 
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {
