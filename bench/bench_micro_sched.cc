@@ -25,6 +25,10 @@
 //    kinetic index's dense small-n mode and n=500 its tournament tree. (The
 //    index's equality with the naive scan is pinned by the ctest oracles in
 //    tests/scan_schedulers.h, not here.)
+//  * deliver/leaves=<L>[/shed] — arrival delivery alone: an engine whose
+//    scheduler never picks delivers a single-stream table to L leaf units,
+//    every leaf backlogged, unshed or (/shed) held at the load-shedding cap
+//    with every leaf sheddable. ns_per_op is per delivered arrival.
 //  * queue/... — TupleQueue (inline ring buffer) vs std::deque on the
 //    engine's shallow-queue churn pattern.
 //  * join/insert_probe — symmetric-hash-join insert+probe path.
@@ -64,6 +68,7 @@
 #include "common/rng.h"
 #include "core/dsms.h"
 #include "core/report.h"
+#include "exec/engine.h"
 #include "exec/window_join.h"
 #include "obs/histogram.h"
 #include "query/workload.h"
@@ -214,6 +219,95 @@ void BenchPick(const std::string& policy, int n, int64_t ops, int reps,
     scheduler->Attach(&units);
     KeepAlive(static_cast<int64_t>(PickChurn(*scheduler, units, ops)));
   }));
+}
+
+// ---------------------------------------------------------------------------
+// Arrival delivery.
+
+/// A scheduler that never picks: the engine's run loop then only jumps from
+/// arrival to arrival delivering, and every leaf stays backlogged.
+class NeverPickScheduler : public sched::Scheduler {
+ public:
+  void Attach(const sched::UnitTable* /*units*/) override {}
+  void OnEnqueue(int /*unit*/) override { ++enqueues; }
+  void OnDequeue(int /*unit*/) override {}
+  bool PickNext(SimTime /*now*/, sched::SchedulingCost* /*cost*/,
+                std::vector<int>* /*out*/) override {
+    return false;
+  }
+  const char* name() const override { return "never"; }
+  void ResyncQueues(SimTime /*now*/) override {}
+
+  int64_t enqueues = 0;
+};
+
+/// `leaves` one-select queries on one stream and `arrivals` evenly spaced
+/// arrivals.
+query::Workload MakeDeliveryWorkload(int leaves, int64_t arrivals) {
+  std::vector<query::CompiledQuery> compiled;
+  compiled.reserve(static_cast<size_t>(leaves));
+  for (int qi = 0; qi < leaves; ++qi) {
+    query::QuerySpec spec;
+    spec.id = qi;
+    spec.left_stream = 0;
+    spec.left_ops.push_back(
+        query::MakeSelect(0.001 * static_cast<double>(1 + qi % 4), 0.5));
+    compiled.emplace_back(std::move(spec),
+                          query::SelectivityMode::kCorrelatedAttribute);
+  }
+  query::Workload workload;
+  workload.plan = query::GlobalPlan(std::move(compiled), {}, /*num_streams=*/1);
+  workload.arrivals.arrivals.resize(static_cast<size_t>(arrivals));
+  for (int64_t i = 0; i < arrivals; ++i) {
+    stream::Arrival& arrival =
+        workload.arrivals.arrivals[static_cast<size_t>(i)];
+    arrival.id = i;
+    arrival.time = 1e-3 * static_cast<double>(i);
+    arrival.attribute = 50.0;
+  }
+  return workload;
+}
+
+/// Times Engine::Run (construction excluded) over the delivery workload,
+/// fastest of `reps`, and checks every (arrival, leaf) pair was accounted
+/// for: enqueued, or shed once the queued population reached the cap.
+void BenchDeliver(int leaves, bool shed, int64_t arrivals, int reps,
+                  std::vector<BenchResult>* results) {
+  const query::Workload workload = MakeDeliveryWorkload(leaves, arrivals);
+  exec::EngineConfig config;
+  if (shed) {
+    config.shed.enabled = true;
+    config.shed.shed_fraction = 1.0;
+    // Reached inside the first arrivals' leaf loops; from then on every
+    // delivery sheds all of its leaves.
+    config.shed.queue_cap = 3 * leaves / 2;
+  }
+  BenchResult result;
+  result.name = "deliver/leaves=" + std::to_string(leaves) +
+                (shed ? "/shed" : "");
+  result.ops = arrivals;
+  for (int rep = 0; rep < reps; ++rep) {
+    NeverPickScheduler scheduler;
+    exec::Engine engine(&workload.plan, &workload.arrivals, config,
+                        &scheduler, /*collector=*/nullptr);
+    const Clock::time_point start = Clock::now();
+    const exec::RunCounters counters = engine.Run();
+    const double ms = ElapsedMs(start);
+    if (rep == 0 || ms < result.wall_ms) result.wall_ms = ms;
+    const int64_t pairs = arrivals * leaves;
+    if (shed) {
+      AQSIOS_CHECK_EQ(counters.peak_queued_tuples, config.shed.queue_cap);
+      AQSIOS_CHECK_EQ(counters.tuples_shed, pairs - config.shed.queue_cap);
+    } else {
+      AQSIOS_CHECK_EQ(counters.peak_queued_tuples, pairs);
+    }
+    // Only readiness changes reach the scheduler: each leaf once.
+    AQSIOS_CHECK_EQ(scheduler.enqueues, leaves);
+  }
+  result.ns_per_op = result.wall_ms * 1e6 / static_cast<double>(arrivals);
+  std::cout << result.name << ": " << result.ns_per_op << " ns/op  ("
+            << result.ops << " ops, " << result.wall_ms << " ms)\n";
+  results->push_back(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,11 +572,21 @@ int Main(int argc, char** argv) {
   // PickNext churn keeps every unit ready: n=60 runs the kinetic index in
   // dense mode, n=500 in tournament-tree mode (the dense fast path holds at
   // most sched::KineticIndex::kDenseMaxCapacity = 128 live lines).
-  const int64_t pick_ops = quick ? 20000 : 200000;
+  // 3M ops keep every repetition above 50 ms (the fastest cell, RR at
+  // n=60, takes ~20 ns a pick), well clear of timer and scheduling noise.
+  const int64_t pick_ops = quick ? 20000 : 3000000;
   for (const int n : {60, 500}) {
     if (quick && n == 500) continue;
     for (const char* policy : {"lsf", "bsd", "bsd-clustered", "rr", "hnr"}) {
       BenchPick(policy, n, pick_ops, reps, &results);
+    }
+  }
+
+  // Arrival delivery to every leaf of a stream, unshed and at the shed cap.
+  const int64_t deliver_arrivals = quick ? 50000 : 1000000;
+  for (const int leaves : {60, 500, 2000}) {
+    for (const bool shed : {false, true}) {
+      BenchDeliver(leaves, shed, deliver_arrivals, reps, &results);
     }
   }
 

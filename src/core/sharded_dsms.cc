@@ -150,6 +150,10 @@ ShardedRunResult SimulateElasticPlan(
   std::vector<metrics::QosCollector> collectors;
   collectors.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) collectors.emplace_back(options.qos);
+  // Every engine delivers from the same global table: one row index serves
+  // them all (declared before the engines, which point into it).
+  const stream::StreamRowIndex stream_rows =
+      stream::BuildStreamRowIndex(arrivals, plan.num_streams());
   std::vector<std::unique_ptr<sched::Scheduler>> schedulers;
   std::vector<std::unique_ptr<exec::Engine>> engines;
   schedulers.reserve(static_cast<size_t>(num_shards));
@@ -157,6 +161,7 @@ ShardedRunResult SimulateElasticPlan(
   for (int s = 0; s < num_shards; ++s) {
     exec::EngineConfig config = MakeEngineConfig(options, policy, min_op_cost);
     config.telemetry = hub != nullptr ? hub->cell(s) : nullptr;
+    config.stream_rows = &stream_rows;
     schedulers.push_back(sched::CreateScheduler(policy));
     engines.push_back(std::make_unique<exec::Engine>(
         &plan, &arrivals, config, schedulers.back().get(),

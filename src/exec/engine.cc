@@ -1,6 +1,7 @@
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -34,6 +35,17 @@ int PathChargeBound(const query::CompiledQuery& q) {
     ops += stage.side_ops.size();
   }
   return static_cast<int>(ops);
+}
+
+// Bit p of a bitmap over a stream's leaf positions.
+bool TestBit(const std::vector<uint64_t>& bits, int p) {
+  return (bits[static_cast<size_t>(p) >> 6] >> (p & 63)) & 1;
+}
+void SetBit(std::vector<uint64_t>& bits, int p) {
+  bits[static_cast<size_t>(p) >> 6] |= uint64_t{1} << (p & 63);
+}
+void ClearBit(std::vector<uint64_t>& bits, int p) {
+  bits[static_cast<size_t>(p) >> 6] &= ~(uint64_t{1} << (p & 63));
 }
 
 }  // namespace
@@ -138,12 +150,16 @@ Engine::Engine(const query::GlobalPlan* plan,
   builder_options.sharing_objective = config.sharing_objective;
   built_ = BuildUnits(*plan, builder_options);
 
-  leaf_units_of_stream_.resize(static_cast<size_t>(plan->num_streams()));
+  streams_.resize(static_cast<size_t>(plan->num_streams()));
+  leaf_position_.assign(built_.units.size(), -1);
   for (const sched::Unit& unit : built_.units) {
     if (unit.input_stream >= 0) {
       AQSIOS_CHECK_LT(unit.input_stream, plan->num_streams());
-      leaf_units_of_stream_[static_cast<size_t>(unit.input_stream)].push_back(
-          unit.id);
+      std::vector<int>& leaves =
+          streams_[static_cast<size_t>(unit.input_stream)].leaves;
+      leaf_position_[static_cast<size_t>(unit.id)] =
+          static_cast<int32_t>(leaves.size());
+      leaves.push_back(unit.id);
     }
   }
 
@@ -175,6 +191,24 @@ Engine::Engine(const query::GlobalPlan* plan,
   probe_scratch_.resize(max_join_stages + 1);
 
   scheduler_->Attach(&built_.units);
+  every_enqueue_ = scheduler_->WantsEveryEnqueue();
+
+  const stream::StreamRowIndex* rows = config.stream_rows;
+  if (rows == nullptr) {
+    own_stream_rows_ = std::make_unique<stream::StreamRowIndex>(
+        stream::BuildStreamRowIndex(*arrivals, plan->num_streams()));
+    rows = own_stream_rows_.get();
+  }
+  AQSIOS_CHECK_EQ(rows->num_streams(), plan->num_streams());
+  AQSIOS_CHECK_EQ(static_cast<int64_t>(rows->rows.size()), arrivals->size());
+  for (size_t s = 0; s < streams_.size(); ++s) {
+    StreamDelivery& stream = streams_[s];
+    stream.feed.rows = rows->RowsOf(static_cast<stream::StreamId>(s));
+    stream.feed.table = arrivals->arrivals.data();
+    const size_t words = (stream.leaves.size() + 63) / 64;
+    stream.feed.idle.assign(words, 0);
+    stream.subscribed.assign(words, 0);
+  }
 
   shedding_ = config.shed.enabled;
   if (shedding_) {
@@ -197,12 +231,33 @@ Engine::Engine(const query::GlobalPlan* plan,
       if (pa != pb) return pa < pb;
       return a < b;
     });
-    sheddable_.assign(built_.units.size(), 0);
     const size_t num_sheddable = static_cast<size_t>(
         config.shed.shed_fraction * static_cast<double>(leaves.size()));
+    std::vector<uint8_t> sheddable(built_.units.size(), 0);
     for (size_t i = 0; i < num_sheddable && i < leaves.size(); ++i) {
-      sheddable_[static_cast<size_t>(leaves[i])] = 1;
+      sheddable[static_cast<size_t>(leaves[i])] = 1;
     }
+    // Per stream, the tables the delivery-time shed rule reads (see
+    // DeliverArrival).
+    for (StreamDelivery& stream : streams_) {
+      const int n = static_cast<int>(stream.leaves.size());
+      stream.kept.assign(stream.subscribed.size(), 0);
+      stream.next_sheddable.assign(static_cast<size_t>(n) + 1, n);
+      stream.kept_from.assign(static_cast<size_t>(n) + 1, 0);
+      for (int p = n - 1; p >= 0; --p) {
+        const size_t i = static_cast<size_t>(p);
+        const bool sheds =
+            sheddable[static_cast<size_t>(stream.leaves[i])] != 0;
+        stream.next_sheddable[i] = sheds ? p : stream.next_sheddable[i + 1];
+        stream.kept_from[i] = stream.kept_from[i + 1] + (sheds ? 0 : 1);
+        if (!sheds) SetBit(stream.kept, p);
+      }
+      stream.feed.shed_before_block.assign(stream.subscribed.size(), 0);
+      stream.feed.shed_in_block.assign(static_cast<size_t>(n), 0);
+    }
+  }
+  for (const sched::Unit& unit : built_.units) {
+    if (unit.input_stream >= 0) SubscribeLeaf(unit.id);
   }
 
   if (config.adaptation.enabled) {
@@ -704,6 +759,121 @@ void Engine::Enqueue(int unit_id, stream::ArrivalId arrival,
   scheduler_->OnEnqueue(unit_id);
 }
 
+void Engine::SubscribeLeaf(int unit_id) {
+  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
+  StreamDelivery& stream = streams_[static_cast<size_t>(unit.input_stream)];
+  const int p = leaf_position_[static_cast<size_t>(unit_id)];
+  unit.queue.Subscribe(&stream.feed, p, shedding_ && !TestBit(stream.kept, p));
+  SetBit(stream.subscribed, p);
+  ++stream.num_subscribed;
+}
+
+int64_t Engine::UnsubscribeLeaf(int unit_id) {
+  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
+  StreamDelivery& stream = streams_[static_cast<size_t>(unit.input_stream)];
+  ClearBit(stream.subscribed, leaf_position_[static_cast<size_t>(unit_id)]);
+  --stream.num_subscribed;
+  return unit.queue.Unsubscribe();
+}
+
+void Engine::DeliverArrival(const stream::Arrival& arrival) {
+  StreamDelivery& stream = streams_[static_cast<size_t>(arrival.stream)];
+  sched::StreamFeed& feed = stream.feed;
+  // Every subscribed leaf's live range now covers the row: the whole
+  // fan-out is this one advance.
+  const int64_t row = feed.frontier++;
+  AQSIOS_DCHECK_EQ(static_cast<int64_t>(feed.rows[row]), next_arrival_);
+  const int64_t queued_before = queued_tuples_;
+  // Shedding replays the per-leaf admission loop exactly: walking the leaves
+  // in position order, each receiver adds one queued tuple and a shed leaf
+  // adds none, so the first sheddable position p with queued_before + p >=
+  // queue_cap sheds, and so does every sheddable position after it (the
+  // count never falls back below the cap). That first position, shed_from,
+  // is all a delivery needs to remember: the receivers are every position
+  // below it plus every non-sheddable position at or above it. Elastic
+  // engines never shed, so every position is subscribed here.
+  int shed_from = std::numeric_limits<int>::max();  // nothing shed
+  int64_t receivers = stream.num_subscribed;
+  if (shedding_) {
+    const int num_leaves = static_cast<int>(stream.leaves.size());
+    const int64_t room = config_.shed.queue_cap - queued_tuples_;
+    shed_from = room >= num_leaves
+                    ? num_leaves
+                    : stream.next_sheddable[static_cast<size_t>(
+                          std::max<int64_t>(room, 0))];
+    receivers = shed_from + stream.kept_from[static_cast<size_t>(shed_from)];
+    feed.shed_from.push_back(shed_from);
+    if (shed_from < num_leaves) feed.CountShed(shed_from);
+    counters_.tuples_offered += num_leaves;
+    counters_.tuples_shed += num_leaves - receivers;
+  }
+  // Nothing else to do for an elastic engine owning none of the stream's
+  // leaves, or for a fully shed arrival.
+  if (receivers > 0) {
+    // One accrual covers the whole delivery: further ones at the same clock
+    // would add exactly zero.
+    AccrueQueueOccupancy();
+    queued_tuples_ += receivers;
+    counters_.peak_queued_tuples =
+        std::max(counters_.peak_queued_tuples, queued_tuples_);
+    if (elastic_) ++elastic_arrivals_routed_;
+    NotifyReceivers(stream, row, shed_from);
+  }
+  if (tracer_ != nullptr) TraceDelivery(arrival, shed_from, queued_before);
+}
+
+void Engine::NotifyReceivers(StreamDelivery& stream, int64_t row,
+                             int shed_from) {
+  // In position order: the leaves that become ready, or every receiver for
+  // a policy that orders individual entries.
+  sched::StreamFeed& feed = stream.feed;
+  if (!every_enqueue_ && feed.num_idle == 0) return;  // all backlogged
+  const std::vector<uint64_t>& candidates =
+      every_enqueue_ ? stream.subscribed : feed.idle;
+  for (size_t w = 0; w < candidates.size(); ++w) {
+    uint64_t bits = candidates[w];
+    const int low = static_cast<int>(w) * 64;
+    if (shed_from < low + 64) {
+      const uint64_t below =
+          shed_from <= low ? 0 : (uint64_t{1} << (shed_from - low)) - 1;
+      bits &= below | stream.kept[w];
+    }
+    while (bits != 0) {
+      const int p = low + std::countr_zero(bits);
+      bits &= bits - 1;
+      const int unit_id = stream.leaves[static_cast<size_t>(p)];
+      sched::UnitQueue& queue =
+          built_.units[static_cast<size_t>(unit_id)].queue;
+      const bool was_empty = queue.empty();
+      if (feed.IsIdle(p)) queue.Activate(row);
+      if (every_enqueue_ || was_empty) scheduler_->OnEnqueue(unit_id);
+    }
+  }
+}
+
+void Engine::TraceDelivery(const stream::Arrival& arrival, int shed_from,
+                           int64_t queued_before) {
+  const StreamDelivery& stream =
+      streams_[static_cast<size_t>(arrival.stream)];
+  int64_t queued = queued_before;
+  for (int p = 0; p < static_cast<int>(stream.leaves.size()); ++p) {
+    if (!TestBit(stream.subscribed, p)) continue;
+    const int unit_id = stream.leaves[static_cast<size_t>(p)];
+    const sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
+    if (p >= shed_from && !TestBit(stream.kept, p)) {
+      tracer_->Record({obs::EventKind::kShed, arrival.time, 0.0, unit_id,
+                       static_cast<int32_t>(unit.query),
+                       static_cast<int64_t>(arrival.id),
+                       static_cast<double>(queued)});
+      continue;
+    }
+    ++queued;
+    tracer_->Record({obs::EventKind::kEnqueue, now_, 0.0, unit_id,
+                     static_cast<int32_t>(unit.query), arrival.id,
+                     static_cast<double>(unit.queue.size())});
+  }
+}
+
 void Engine::DeliverArrivalsUpTo(SimTime time) {
   while (next_arrival_time_ <= time && next_arrival_ < arrivals_->size()) {
     const stream::Arrival& arrival =
@@ -713,39 +883,7 @@ void Engine::DeliverArrivalsUpTo(SimTime time) {
                        static_cast<int32_t>(arrival.stream), -1,
                        static_cast<int64_t>(arrival.id)});
     }
-    bool delivered = false;
-    for (int unit :
-         leaf_units_of_stream_[static_cast<size_t>(arrival.stream)]) {
-      // Elastic mode: each engine sees the shared global arrival table but
-      // only feeds the leaf queues of the placement groups it currently
-      // owns. Cheap single branch when elastic_ is off.
-      if (elastic_ &&
-          owned_groups_[static_cast<size_t>(group_of_unit_[static_cast<size_t>(
-              unit)])] == 0) {
-        continue;
-      }
-      if (shedding_) {
-        ++counters_.tuples_offered;
-        if (queued_tuples_ >= config_.shed.queue_cap &&
-            sheddable_[static_cast<size_t>(unit)] != 0) {
-          ++counters_.tuples_shed;
-          if (tracer_ != nullptr) {
-            tracer_->Record(
-                {obs::EventKind::kShed, arrival.time, 0.0, unit,
-                 static_cast<int32_t>(
-                     built_.units[static_cast<size_t>(unit)].query),
-                 static_cast<int64_t>(arrival.id),
-                 static_cast<double>(queued_tuples_)});
-          }
-          continue;
-        }
-      }
-      // Queue entries carry the table *index*; Arrival::id stays global so
-      // frozen draws and trace ids are identical inside shard sub-tables.
-      Enqueue(unit, next_arrival_, arrival.time);
-      delivered = true;
-    }
-    if (elastic_ && delivered) ++elastic_arrivals_routed_;
+    DeliverArrival(arrival);
     ++next_arrival_;
     next_arrival_time_ =
         next_arrival_ < arrivals_->size()
@@ -1142,7 +1280,7 @@ void Engine::ExecuteUnitTrain(int unit_id) {
     // everything the chain pass needs lives in the columns.
     EnsureColumnCapacity(count);
     for (size_t i = 0; i < count; ++i) {
-      const sched::QueueEntry& entry = unit.queue.front();
+      const sched::QueueEntry entry = unit.queue.front();
       const stream::Arrival& arrival =
           arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
       col_attr_[i] = arrival.attribute;
@@ -1275,6 +1413,12 @@ void Engine::Begin() {
 }
 
 bool Engine::RunUntil(SimTime barrier) {
+  if (resync_pending_) {
+    // Queues moved at the barrier (migrations, steals): one canonical
+    // resync covers them all, at the clock they left behind.
+    scheduler_->ResyncQueues(now_);
+    resync_pending_ = false;
+  }
   // Catch up deliveries a previous (finite) barrier deferred: if the last
   // epoch's execution overshot its barrier, arrivals in (old barrier, now_]
   // were withheld so a migration at the barrier saw a frozen arrival cursor;
@@ -1405,11 +1549,23 @@ void Engine::ConfigureElastic(const std::vector<int>& group_of_query,
   owned_groups_ = std::move(owned_groups);
   group_busy_.assign(static_cast<size_t>(num_groups), 0.0);
   group_of_unit_.resize(built_.units.size());
+  units_of_group_.assign(static_cast<size_t>(num_groups), {});
+  queries_of_group_.assign(static_cast<size_t>(num_groups), {});
   for (const sched::Unit& unit : built_.units) {
     const int group = group_of_query_[static_cast<size_t>(unit.query)];
     AQSIOS_CHECK_GE(group, 0);
     AQSIOS_CHECK_LT(group, num_groups);
     group_of_unit_[static_cast<size_t>(unit.id)] = group;
+    units_of_group_[static_cast<size_t>(group)].push_back(unit.id);
+    // Only the leaves of owned groups receive arrivals.
+    if (unit.input_stream >= 0 &&
+        owned_groups_[static_cast<size_t>(group)] == 0) {
+      UnsubscribeLeaf(unit.id);
+    }
+  }
+  for (size_t q = 0; q < group_of_query_.size(); ++q) {
+    queries_of_group_[static_cast<size_t>(group_of_query_[q])].push_back(
+        static_cast<int>(q));
   }
 }
 
@@ -1418,24 +1574,31 @@ Engine::GroupState Engine::ExtractGroup(int group) {
   AQSIOS_CHECK(owned_groups_[static_cast<size_t>(group)] != 0)
       << "extracting group " << group << " from a non-owner";
   GroupState state;
+  state.delivered = next_arrival_;
   // Entries leave this engine's population now: settle the occupancy
   // integral before the count changes.
   AccrueQueueOccupancy();
-  for (sched::Unit& unit : built_.units) {
-    if (group_of_unit_[static_cast<size_t>(unit.id)] != group) continue;
-    if (unit.queue.empty()) continue;
+  for (const int unit_id : units_of_group_[static_cast<size_t>(group)]) {
+    sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
     state.queued += static_cast<int64_t>(unit.queue.size());
-    state.unit_queues.emplace_back(unit.id, std::move(unit.queue));
+    if (!unit.queue.ring().empty()) {
+      state.unit_queues.emplace_back(unit.id, unit.queue.TakeRing());
+    }
+    // An owned leaf is subscribed; its live range moves as its first row.
+    if (unit.input_stream >= 0) {
+      const int64_t begin = UnsubscribeLeaf(unit.id);
+      if (begin >= 0) state.leaf_ranges.emplace_back(unit.id, begin);
+    }
   }
   queued_tuples_ -= state.queued;
-  for (size_t q = 0; q < join_state_.size(); ++q) {
-    if (group_of_query_[q] != group || join_state_[q].empty()) continue;
-    state.join_states.emplace_back(static_cast<int>(q),
-                                   std::move(join_state_[q]));
-    join_state_[q].clear();
+  for (const int q : queries_of_group_[static_cast<size_t>(group)]) {
+    if (join_state_[static_cast<size_t>(q)].empty()) continue;
+    state.join_states.emplace_back(
+        q, std::move(join_state_[static_cast<size_t>(q)]));
+    join_state_[static_cast<size_t>(q)].clear();
   }
   owned_groups_[static_cast<size_t>(group)] = 0;
-  scheduler_->ResyncQueues(now_);
+  resync_pending_ = true;
   return state;
 }
 
@@ -1443,6 +1606,11 @@ void Engine::InjectGroup(int group, GroupState state, SimTime barrier) {
   AQSIOS_CHECK(elastic_);
   AQSIOS_CHECK(owned_groups_[static_cast<size_t>(group)] == 0)
       << "injecting group " << group << " into an owner";
+  // Live ranges run to the delivery frontier, so the handoff is only exact
+  // if both engines delivered the same arrivals by the barrier (the
+  // delivery clamp guarantees it).
+  AQSIOS_CHECK_EQ(state.delivered, next_arrival_)
+      << "source and target frontiers disagree at the barrier";
   AccrueQueueOccupancy();
   // A target below the barrier is paused idle (empty queues), so jumping it
   // to the barrier accrues zero occupancy; the jump guarantees injected
@@ -1450,18 +1618,22 @@ void Engine::InjectGroup(int group, GroupState state, SimTime barrier) {
   // negative head wait.
   now_ = std::max(now_, barrier);
   last_occupancy_time_ = now_;
+  // The target may hold residual *stolen* entries of this group — a prefix
+  // of the same FIFO, strictly older than everything migrating in: the
+  // moved rings append behind them, and the live ranges behind those.
   for (auto& [unit_id, queue] : state.unit_queues) {
     sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
-    if (unit.queue.empty()) {
-      unit.queue = std::move(queue);
-    } else {
-      // The target holds residual *stolen* entries of this group — a prefix
-      // of the same FIFO, strictly older than everything migrating in:
-      // append the remainder behind them.
-      for (size_t i = 0; i < queue.size(); ++i) {
-        unit.queue.push_back(queue.at(i));
-      }
+    for (size_t i = 0; i < queue.size(); ++i) {
+      unit.queue.push_back(queue.at(i));
     }
+  }
+  for (const int unit_id : units_of_group_[static_cast<size_t>(group)]) {
+    if (built_.units[static_cast<size_t>(unit_id)].input_stream >= 0) {
+      SubscribeLeaf(unit_id);
+    }
+  }
+  for (const auto& [unit_id, begin] : state.leaf_ranges) {
+    built_.units[static_cast<size_t>(unit_id)].queue.Activate(begin);
   }
   queued_tuples_ += state.queued;
   counters_.peak_queued_tuples =
@@ -1470,7 +1642,7 @@ void Engine::InjectGroup(int group, GroupState state, SimTime barrier) {
     join_state_[static_cast<size_t>(q)] = std::move(states);
   }
   owned_groups_[static_cast<size_t>(group)] = 1;
-  scheduler_->ResyncQueues(now_);
+  resync_pending_ = true;
 }
 
 bool Engine::ExtractStolenTrain(int64_t max_tuples, int* unit_out,
@@ -1505,7 +1677,7 @@ bool Engine::ExtractStolenTrain(int64_t max_tuples, int* unit_out,
     unit.queue.pop_front();
   }
   queued_tuples_ -= static_cast<int64_t>(take);
-  scheduler_->ResyncQueues(now_);
+  resync_pending_ = true;
   *unit_out = best;
   return true;
 }
@@ -1524,7 +1696,7 @@ void Engine::InjectStolenTrain(int unit_id,
   queued_tuples_ += static_cast<int64_t>(entries.size());
   counters_.peak_queued_tuples =
       std::max(counters_.peak_queued_tuples, queued_tuples_);
-  scheduler_->ResyncQueues(now_);
+  resync_pending_ = true;
 }
 
 }  // namespace aqsios::exec

@@ -1,12 +1,13 @@
 // The discrete-event DSMS execution engine.
 //
 // The engine simulates a single-CPU stream processor on a virtual clock:
-// arrivals from the arrival table are fanned out to the leaf queues of the
-// schedulable units; at each scheduling point the attached Scheduler chooses
-// a unit (or a cluster of units, §6.2.3) and the engine runs the pipelined
-// operator segment on the head tuple, advancing the clock by the operator
-// costs actually incurred. Tuples surviving to a query root are reported to
-// the QosCollector with their response time and slowdown.
+// arrivals from the arrival table are delivered to the leaf units of their
+// stream (a leaf's queue is a range over its stream's arrivals, so one
+// delivery serves every leaf); at each scheduling point the attached
+// Scheduler chooses a unit (or a cluster of units, §6.2.3) and the engine
+// runs the pipelined operator segment on the head tuple, advancing the clock
+// by the operator costs actually incurred. Tuples surviving to a query root
+// are reported to the QosCollector with their response time and slowdown.
 //
 // Scheduling overhead can be charged to the virtual clock (Figures 13–14):
 // each priority computation/comparison reported by the scheduler costs
@@ -127,6 +128,12 @@ struct EngineConfig {
   /// byte-identical: the engine then never constructs the calibrator and
   /// every hot-path site is one branch on a null pointer.
   sched::CalibrationConfig calibration;
+
+  /// Optional per-stream row index of the arrival table (stream::
+  /// BuildStreamRowIndex); null = the engine builds its own. Engines that
+  /// run over one table (the elastic runner's) share one index. Must
+  /// outlive the engine.
+  const stream::StreamRowIndex* stream_rows = nullptr;
 
   /// Mid-run statistics drift of a query subset (stream/drift.h) — the
   /// scenario calibration exists for. Requires the per-tuple dispatcher
@@ -278,31 +285,42 @@ class Engine {
   /// Scheduler + queue state of one placement group in flight between
   /// engines.
   struct GroupState {
-    /// (unit id, moved queue) for every non-empty member queue.
+    /// (unit id, moved ring) for every member with ring entries: internal
+    /// queues, and leaves' stolen prefixes.
     std::vector<std::pair<int, sched::TupleQueue>> unit_queues;
+    /// (leaf unit id, first pending row) for every member leaf with a live
+    /// range; the range runs to the delivery frontier, which source and
+    /// target share at the barrier.
+    std::vector<std::pair<int, int64_t>> leaf_ranges;
     /// (query id, moved per-stage window-join state) for member queries.
     std::vector<std::pair<
         int, std::vector<std::unique_ptr<SymmetricHashJoinState>>>>
         join_states;
     int64_t queued = 0;
+    /// The source's arrival cursor; the target's must equal it.
+    int64_t delivered = 0;
   };
   /// Quiesced handoff, called only at an epoch barrier: moves the group's
-  /// queues and window-join state out, drops ownership, and resyncs the
-  /// scheduler. The group's frozen randomness is keyed on global ids, so the
-  /// target replays identical outcomes.
+  /// queues and window-join state out and drops ownership. The group's
+  /// frozen randomness is keyed on global ids, so the target replays
+  /// identical outcomes. Like the other three barrier calls below, it
+  /// leaves the scheduler to one canonical ResyncQueues at the start of the
+  /// next RunUntil, so a barrier with many migrations rebuilds each
+  /// engine's scheduler state once.
   GroupState ExtractGroup(int group);
   /// Target side of a migration: bumps the clock to the barrier (paused-idle
-  /// targets sit below it), installs the state, takes ownership, resyncs.
+  /// targets sit below it), installs the state, takes ownership.
   void InjectGroup(int group, GroupState state, SimTime barrier);
 
   /// Work stealing: pops up to `max_tuples` head entries of the fullest
-  /// stateless (kQueryChain/kRemainder) queue for an idle thief. Ownership
-  /// is unchanged — the thief only drains the handed-off train. Returns
-  /// false when no stealable backlog exists.
+  /// stateless (kQueryChain/kRemainder) queue for an idle thief — a frozen
+  /// prefix; a leaf stays subscribed here. Ownership is unchanged — the
+  /// thief only drains the handed-off train. Returns false when no
+  /// stealable backlog exists.
   bool ExtractStolenTrain(int64_t max_tuples, int* unit_out,
                           std::vector<sched::QueueEntry>* entries);
   /// Thief side of a steal; the thief must be fully idle so the handed-off
-  /// prefix stays FIFO-ordered in its (empty) queue.
+  /// prefix stays FIFO-ordered in its (empty) queue's ring.
   void InjectStolenTrain(int unit_id,
                          const std::vector<sched::QueueEntry>& entries,
                          SimTime barrier);
@@ -322,9 +340,21 @@ class Engine {
 
  private:
   void DeliverArrivalsUpTo(SimTime time);
-  /// `arrival` is the *index* into the engine's arrival table (queue entries
-  /// carry indexes; Arrival::id stays global — see sched/unit.h).
+  /// Delivers arrivals_[next_arrival_] to the leaves of its stream.
+  void DeliverArrival(const stream::Arrival& arrival);
+  /// Records the per-(arrival, leaf) kEnqueue / kShed events of a delivery
+  /// in loop order; `shed_from` is the delivery's shed position and
+  /// `queued_before` the queued-tuple count before it.
+  void TraceDelivery(const stream::Arrival& arrival, int shed_from,
+                     int64_t queued_before);
+  /// Pushes onto an internal unit's queue. `arrival` is the *index* into
+  /// the engine's arrival table (queue entries carry indexes; Arrival::id
+  /// stays global — see sched/unit.h).
   void Enqueue(int unit, stream::ArrivalId arrival, SimTime arrival_time);
+  /// Starts / ends leaf `unit`'s subscription to its stream's feed (elastic
+  /// ownership changes; every leaf is subscribed outside elastic mode).
+  void SubscribeLeaf(int unit);
+  int64_t UnsubscribeLeaf(int unit);
   void ExecuteUnit(int unit_id);
 
   /// Batched path: number of head entries the next train on `unit` drains
@@ -447,8 +477,35 @@ class Engine {
   std::unique_ptr<StatsMonitor> stats_monitor_;
   /// Present when config_.calibration.enabled.
   std::unique_ptr<sched::CostCalibrator> calibrator_;
-  /// Leaf unit ids per stream id.
-  std::vector<std::vector<int>> leaf_units_of_stream_;
+  /// Delivery state of one input stream. A leaf's position is its index in
+  /// `leaves` (ascending unit id): the order of the per-arrival loop the
+  /// shed rule and per-entry notifications replay. What every delivery
+  /// reads (the receiver count, the frontier, the idle bitmap) shares the
+  /// first cache line.
+  struct alignas(64) StreamDelivery {
+    int64_t num_subscribed = 0;
+    sched::StreamFeed feed;
+    std::vector<int> leaves;
+    /// Bit per position: the leaf is subscribed (owned, in elastic mode).
+    std::vector<uint64_t> subscribed;
+    /// Load shedding only. Bit per non-sheddable position;
+    /// next_sheddable[x] = first sheddable position >= x (L if none);
+    /// kept_from[x] = non-sheddable positions >= x; both for x in [0, L].
+    std::vector<uint64_t> kept;
+    std::vector<int32_t> next_sheddable;
+    std::vector<int32_t> kept_from;
+  };
+  /// Indexed by stream id; sized once (leaf queues point into it).
+  std::vector<StreamDelivery> streams_;
+  /// Activates the idle receivers of a delivered row and notifies the
+  /// scheduler (see DeliverArrival).
+  void NotifyReceivers(StreamDelivery& stream, int64_t row, int shed_from);
+  /// Position of each leaf unit within its stream (-1 for internal units).
+  std::vector<int32_t> leaf_position_;
+  /// The row index when the engine built its own (config_.stream_rows null).
+  std::unique_ptr<stream::StreamRowIndex> own_stream_rows_;
+  /// scheduler_->WantsEveryEnqueue(), read once.
+  bool every_enqueue_ = false;
   /// Window-join state per query and stage (empty for single-stream
   /// queries). Stage 0 runs in ordered mode; composite-fed stages do not.
   std::vector<std::vector<std::unique_ptr<SymmetricHashJoinState>>>
@@ -459,14 +516,20 @@ class Engine {
 
   /// --- Elastic shard mode state (all inert when elastic_ is false) ---
   bool elastic_ = false;
-  /// Placement group of each query / unit (ConfigureElastic).
+  /// Placement group of each query / unit, and the members of each group
+  /// (ConfigureElastic).
   std::vector<int> group_of_query_;
   std::vector<int> group_of_unit_;
-  /// Ownership bitmap over placement groups; gates arrival delivery.
+  std::vector<std::vector<int>> units_of_group_;
+  std::vector<std::vector<int>> queries_of_group_;
+  /// Ownership bitmap over placement groups; the leaves of owned groups are
+  /// the subscribed ones.
   std::vector<uint8_t> owned_groups_;
   /// Cumulative busy seconds per placement group (EWMA input).
   std::vector<double> group_busy_;
   int64_t elastic_arrivals_routed_ = 0;
+  /// Queues moved since the scheduler last resynced (see ExtractGroup).
+  bool resync_pending_ = false;
 
   SimTime now_ = 0.0;
   int64_t next_arrival_ = 0;
@@ -495,9 +558,6 @@ class Engine {
   /// stay schedule- and policy-independent.
   double charge_scale_ = 1.0;
   double sel_scale_ = 1.0;
-  /// Leaf units in the sheddable set (bottom shed_fraction of the leaves by
-  /// Scheduler::ShedPriority); indexed by unit id, empty when !shedding_.
-  std::vector<uint8_t> sheddable_;
   /// Train scratch, reused across dispatches: the entries drained by the
   /// current train, and the selection vector of indexes into it that still
   /// survive the chain pass.

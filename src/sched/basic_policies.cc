@@ -83,9 +83,8 @@ void RoundRobinScheduler::Attach(const UnitTable* units) {
 }
 
 void RoundRobinScheduler::OnEnqueue(int unit) {
-  if ((*units_)[static_cast<size_t>(unit)].queue.size() == 1) {
-    ready_.Insert(unit);
-  }
+  // Idempotent: a unit that was already ready stays so.
+  ready_.Insert(unit);
 }
 
 void RoundRobinScheduler::OnDequeue(int unit) {
@@ -205,10 +204,8 @@ void StaticPriorityScheduler::ResyncQueues(SimTime /*now*/) {
 }
 
 void StaticPriorityScheduler::OnEnqueue(int unit) {
-  const Unit& u = (*units_)[static_cast<size_t>(unit)];
-  if (u.queue.size() == 1) {
-    ready_.Insert(rank_[static_cast<size_t>(unit)]);
-  }
+  // Idempotent: a unit that was already ready stays so.
+  ready_.Insert(rank_[static_cast<size_t>(unit)]);
 }
 
 void StaticPriorityScheduler::OnDequeue(int unit) {
@@ -240,8 +237,10 @@ void LsfScheduler::Attach(const UnitTable* units) {
 }
 
 void LsfScheduler::OnEnqueue(int unit) {
+  // A keyed unit was already pending: its head, and so its line, is
+  // unchanged by a push behind it.
+  if (index_.Contains(unit)) return;
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
-  if (u.queue.size() != 1) return;
   index_.Insert(unit, u.head().arrival_time, u.stats.ideal_time);
 }
 
@@ -308,8 +307,9 @@ void BsdScheduler::Attach(const UnitTable* units) {
 }
 
 void BsdScheduler::OnEnqueue(int unit) {
+  // As LSF: only a newly pending unit needs a line.
+  if (index_.Contains(unit)) return;
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
-  if (u.queue.size() != 1) return;
   index_.Insert(unit, u.head().arrival_time, u.stats.phi);
 }
 

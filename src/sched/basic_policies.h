@@ -33,6 +33,7 @@ class FcfsScheduler : public Scheduler {
  public:
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
+  bool WantsEveryEnqueue() const override { return true; }
   void OnDequeue(int unit) override;
   /// A train consumed `count - 1` entries beyond the one PickNext popped
   /// from the fifo; their fifo occurrences must be retired too.

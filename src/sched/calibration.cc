@@ -40,6 +40,7 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
   changed_.clear();
 
   double cost_drift_sum = 0.0;
+  int64_t cost_drift_units = 0;
   double selectivity_drift_sum = 0.0;
   for (size_t u = 0; u < units_->size(); ++u) {
     Acc& acc = acc_[u];
@@ -66,8 +67,11 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
         stats.selectivity = selectivity;
         // The whole segment's operator costs drift by one common factor
         // (stream/drift.h selects whole queries), so the true ideal time
-        // scales with the observed per-tuple cost.
-        stats.ideal_time = base.ideal_time * (cost / base.cost);
+        // scales with the observed per-tuple cost. A static cost of 0 gives
+        // no factor to scale by: T stays static.
+        stats.ideal_time = base.cost > 0.0
+                               ? base.ideal_time * (cost / base.cost)
+                               : base.ideal_time;
         RederiveUnitStats(&stats);
         changed_.push_back(static_cast<int>(u));
         if ((*units_)[u].has_pending()) ++rekeys_;
@@ -77,12 +81,19 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
     acc.busy *= config_.decay;
     acc.emitted *= config_.decay;
 
-    cost_drift_sum += std::abs(estimated_cost_[u] / baseline_[u].cost - 1.0);
+    // A unit with static cost 0 has no relative cost drift.
+    if (baseline_[u].cost > 0.0) {
+      cost_drift_sum +=
+          std::abs(estimated_cost_[u] / baseline_[u].cost - 1.0);
+      ++cost_drift_units;
+    }
     selectivity_drift_sum +=
         std::abs(estimated_selectivity_[u] / baseline_[u].selectivity - 1.0);
   }
   const double n = static_cast<double>(units_->size());
-  cost_drift_ = n > 0.0 ? cost_drift_sum / n : 0.0;
+  cost_drift_ = cost_drift_units > 0
+                    ? cost_drift_sum / static_cast<double>(cost_drift_units)
+                    : 0.0;
   selectivity_drift_ = n > 0.0 ? selectivity_drift_sum / n : 0.0;
 
   last_updated_units_ = static_cast<int64_t>(changed_.size());

@@ -96,8 +96,9 @@ class CostCalibrator {
     return estimated_selectivity_[static_cast<size_t>(unit)];
   }
 
-  /// Mean |c_est/c_static - 1| over all units as of the last epoch — the
-  /// estimated-vs-static cost drift gauge exported via OpenMetrics.
+  /// Mean |c_est/c_static - 1| over the units with a static cost > 0 as of
+  /// the last epoch — the estimated-vs-static cost drift gauge exported via
+  /// OpenMetrics.
   double MeanAbsCostDrift() const { return cost_drift_; }
   /// Mean |s_est/s_static - 1| over all units as of the last epoch.
   double MeanAbsSelectivityDrift() const { return selectivity_drift_; }

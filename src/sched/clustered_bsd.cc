@@ -73,7 +73,7 @@ void ClusteredBsdScheduler::UnkeyHead(int cluster) {
 void ClusteredBsdScheduler::OnEnqueue(int unit) {
   const Unit& u = (*units_)[static_cast<size_t>(unit)];
   AQSIOS_DCHECK(!u.queue.empty());
-  const QueueEntry& pushed = u.queue.back();
+  const QueueEntry pushed = u.queue.back();
   const int cluster = clustering_.cluster_of_unit[static_cast<size_t>(unit)];
   auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
   queue.push_back(Entry{unit, pushed.arrival, pushed.arrival_time});
@@ -119,7 +119,7 @@ void ClusteredBsdScheduler::ResyncQueues(SimTime /*now*/) {
         cluster_queues_[static_cast<size_t>(
             clustering_.cluster_of_unit[static_cast<size_t>(u.id)])];
     for (size_t i = 0; i < u.queue.size(); ++i) {
-      const QueueEntry& e = u.queue.at(i);
+      const QueueEntry e = u.queue.at(i);
       queue.push_back(Entry{u.id, e.arrival, e.arrival_time});
     }
   }
@@ -172,7 +172,7 @@ void ClusteredBsdScheduler::OnCalibratedStats(const std::vector<int>& changed,
     if (cluster_affected_[static_cast<size_t>(cluster)] == 0) continue;
     auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
     for (size_t i = 0; i < u.queue.size(); ++i) {
-      const QueueEntry& e = u.queue.at(i);
+      const QueueEntry e = u.queue.at(i);
       queue.push_back(Entry{u.id, e.arrival, e.arrival_time});
     }
   }

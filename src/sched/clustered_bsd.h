@@ -46,6 +46,7 @@ class ClusteredBsdScheduler : public Scheduler {
 
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
+  bool WantsEveryEnqueue() const override { return true; }
   void OnDequeue(int unit) override;
   /// Retires the train's extra entries from the unit's cluster FIFO and
   /// re-keys the cluster's head once for the whole batch.

@@ -44,9 +44,7 @@ double LpNormScheduler::PriorityOf(const Unit& unit, SimTime now) const {
 }
 
 void LpNormScheduler::OnEnqueue(int unit) {
-  if ((*units_)[static_cast<size_t>(unit)].queue.size() == 1) {
-    ready_.insert(unit);
-  }
+  ready_.insert(unit);  // idempotent
 }
 
 void LpNormScheduler::OnDequeue(int unit) {

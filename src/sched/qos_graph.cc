@@ -66,9 +66,7 @@ void QosGraphScheduler::Attach(const UnitTable* units) {
 }
 
 void QosGraphScheduler::OnEnqueue(int unit) {
-  if ((*units_)[static_cast<size_t>(unit)].queue.size() == 1) {
-    ready_.insert(unit);
-  }
+  ready_.insert(unit);  // idempotent
 }
 
 void QosGraphScheduler::OnDequeue(int unit) {

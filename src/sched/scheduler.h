@@ -1,8 +1,9 @@
 // Scheduler interface.
 //
 // The execution engine owns the unit table (including input queues) and
-// notifies the scheduler as entries are enqueued and dequeued. At each
-// scheduling point it asks the scheduler which unit(s) to execute next.
+// notifies the scheduler as units become ready and as entries are
+// dequeued. At each scheduling point it asks the scheduler which unit(s) to
+// execute next.
 
 #ifndef AQSIOS_SCHED_SCHEDULER_H_
 #define AQSIOS_SCHED_SCHEDULER_H_
@@ -33,8 +34,20 @@ class Scheduler {
   /// run; the table's units (ids, stats) are final, only queues mutate.
   virtual void Attach(const UnitTable* units) = 0;
 
-  /// Called after the engine pushed one entry onto units[unit].queue.
+  /// Called after units[unit].queue gained an entry. Internal units
+  /// (remainders, operator-level successors) report every push. A leaf unit
+  /// reports only when it becomes ready — its queue was empty before the
+  /// delivery — because its pending tuples are a range over the stream's
+  /// arrivals that grows without per-leaf work (sched::UnitQueue), and a
+  /// policy that reads queue heads learns nothing from later entries. A
+  /// policy that orders individual entries opts into one call per
+  /// delivered (arrival, leaf) pair with WantsEveryEnqueue.
   virtual void OnEnqueue(int unit) = 0;
+
+  /// Whether OnEnqueue must see every entry delivered to a leaf, in
+  /// delivery order (FCFS's FIFO, clustered BSD's per-cluster queues,
+  /// two-level RR's pending counts). Default: readiness changes only.
+  virtual bool WantsEveryEnqueue() const { return false; }
 
   /// Called after the engine popped the head entry of units[unit].queue.
   virtual void OnDequeue(int unit) = 0;

@@ -20,6 +20,7 @@ class TwoLevelRrScheduler : public Scheduler {
  public:
   void Attach(const UnitTable* units) override;
   void OnEnqueue(int unit) override;
+  bool WantsEveryEnqueue() const override { return true; }
   void OnDequeue(int unit) override;
   /// One counter update for the whole train.
   void OnBatchDequeue(int unit, int count) override;

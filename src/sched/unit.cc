@@ -1,5 +1,7 @@
 #include "sched/unit.h"
 
+#include <algorithm>
+
 #include "sched/chain_policy.h"
 
 namespace aqsios::sched {
@@ -30,6 +32,64 @@ void TupleQueue::shrink_to_fit() {
   buf_ = shrunk;
   cap_ = target;
   head_ = 0;
+}
+
+void StreamFeed::CountShed(int c) {
+  const size_t block = static_cast<size_t>(c) >> 6;
+  for (size_t b = block + 1; b < shed_before_block.size(); ++b) {
+    ++shed_before_block[b];
+  }
+  const size_t end = std::min((block + 1) << 6, shed_in_block.size());
+  for (size_t p = static_cast<size_t>(c); p < end; ++p) ++shed_in_block[p];
+}
+
+QueueEntry UnitQueue::back() const {
+  if (!live_) return ring_.back();
+  int64_t row = feed_->frontier - 1;
+  if (sheddable_) {
+    while (Sheds(row)) --row;  // begin_ is a received row
+  }
+  return feed_->Row(row);
+}
+
+QueueEntry UnitQueue::at(size_t i) const {
+  if (i < ring_.size()) return ring_.at(i);
+  i -= ring_.size();
+  int64_t row = begin_;
+  if (!sheddable_) return feed_->Row(row + static_cast<int64_t>(i));
+  for (;; ++row) {
+    if (Sheds(row)) continue;
+    if (i == 0) break;
+    --i;
+  }
+  return feed_->Row(row);
+}
+
+void UnitQueue::Subscribe(StreamFeed* feed, int position, bool sheddable) {
+  AQSIOS_DCHECK(feed_ == nullptr);
+  feed_ = feed;
+  position_ = position;
+  sheddable_ = sheddable;
+  live_ = false;
+  feed_->SetIdle(position_);
+}
+
+int64_t UnitQueue::Unsubscribe() {
+  AQSIOS_DCHECK(feed_ != nullptr);
+  const int64_t begin = live_ ? static_cast<int64_t>(begin_) : int64_t{-1};
+  if (!live_) feed_->ClearIdle(position_);
+  feed_ = nullptr;
+  live_ = false;
+  return begin;
+}
+
+void UnitQueue::Activate(int64_t row) {
+  AQSIOS_DCHECK(feed_ != nullptr && !live_);
+  begin_ = static_cast<uint32_t>(row);
+  shed_base_ =
+      sheddable_ ? static_cast<uint32_t>(feed_->ShedAtOrBelow(position_)) : 0;
+  live_ = true;
+  feed_->ClearIdle(position_);
 }
 
 const char* UnitKindName(UnitKind kind) {

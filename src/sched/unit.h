@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/sim_time.h"
 #include "query/query.h"
 #include "stream/tuple.h"
@@ -170,6 +171,160 @@ class TupleQueue {
   uint32_t len_ = 0;
 };
 
+/// The delivered arrivals of one input stream, shared by every leaf unit
+/// the stream feeds (the engine owns one feed per stream). A leaf's pending
+/// tuples are a range of the feed's rows, so delivering an arrival to all of
+/// the stream's leaves is one frontier advance instead of one push per leaf.
+///
+/// Leaves sit at fixed delivery positions 0..L-1 (the engine's per-stream
+/// loop order). Under load shedding each delivered row records the first
+/// position c whose sheddable leaf shed it: a sheddable leaf at position p
+/// skips exactly the rows with c <= p, and a non-sheddable leaf skips none.
+struct StreamFeed {
+  /// Arrival-table index of the stream's k-th arrival.
+  const uint32_t* rows = nullptr;
+  /// The arrival table the rows index.
+  const stream::Arrival* table = nullptr;
+  /// Rows [0, frontier) are delivered.
+  int64_t frontier = 0;
+  /// Bit p: the leaf at position p is subscribed and its range is empty;
+  /// num_idle counts the set bits.
+  std::vector<uint64_t> idle;
+  int64_t num_idle = 0;
+  /// Load shedding only: per delivered row, its shed position c (L when no
+  /// leaf shed it).
+  std::vector<int32_t> shed_from;
+  /// Load shedding only: the delivered rows counted by shed position c
+  /// (rows with c == L are not counted), in two levels so ShedAtOrBelow —
+  /// read on every readiness change of a sheddable leaf — is two loads:
+  /// per 64-position block, the rows shed from an earlier block, and per
+  /// position p, the rows shed from p's block at or below p.
+  std::vector<int32_t> shed_before_block;
+  std::vector<int32_t> shed_in_block;
+
+  QueueEntry Row(int64_t k) const {
+    const uint32_t index = rows[k];
+    return QueueEntry{index, table[index].time};
+  }
+  bool IsIdle(int p) const {
+    return (idle[static_cast<size_t>(p) >> 6] >> (p & 63)) & 1;
+  }
+  void SetIdle(int p) {
+    AQSIOS_DCHECK(!IsIdle(p));
+    idle[static_cast<size_t>(p) >> 6] |= uint64_t{1} << (p & 63);
+    ++num_idle;
+  }
+  void ClearIdle(int p) {
+    AQSIOS_DCHECK(IsIdle(p));
+    idle[static_cast<size_t>(p) >> 6] &= ~(uint64_t{1} << (p & 63));
+    --num_idle;
+  }
+  /// Records one delivered row shed from position `c` on (c < L): O(L/64 +
+  /// 64).
+  void CountShed(int c);
+  /// Delivered rows a sheddable leaf at position `p` skipped (c <= p).
+  int64_t ShedAtOrBelow(int p) const {
+    return shed_before_block[static_cast<size_t>(p) >> 6] +
+           shed_in_block[static_cast<size_t>(p)];
+  }
+};
+
+/// A unit's pending tuples, in FIFO order: a ring of entries, followed — for
+/// a leaf subscribed to its stream's feed — by the live range of feed rows
+/// the leaf has not consumed yet. Internal units (PDT remainders,
+/// operator-level successors) and hand-built unit tables use only the ring;
+/// a leaf's ring holds at most a stolen prefix, which is older than
+/// anything its live range delivers. The surface is the deque subset the
+/// schedulers and tests read; entries are returned by value because a live
+/// entry is assembled from the feed.
+class UnitQueue {
+ public:
+  bool empty() const { return !live_ && ring_.empty(); }
+  size_t size() const {
+    return ring_.size() + (live_ ? static_cast<size_t>(LiveSize()) : 0);
+  }
+  QueueEntry front() const {
+    return ring_.empty() ? feed_->Row(begin_) : ring_.front();
+  }
+  /// The newest entry.
+  QueueEntry back() const;
+  /// The i-th entry from the front (0 = head). O(1) except on a live
+  /// sheddable leaf, where it walks the range.
+  QueueEntry at(size_t i) const;
+
+  /// Appends to the ring; a leaf's live range must be empty (ring entries
+  /// precede it).
+  void push_back(const QueueEntry& entry) {
+    AQSIOS_DCHECK(!live_) << "ring entries must precede the live range";
+    ring_.push_back(entry);
+  }
+  void pop_front() {
+    if (!ring_.empty()) {
+      ring_.pop_front();
+      return;
+    }
+    ++begin_;
+    if (sheddable_) SkipShedRows();
+    if (static_cast<int64_t>(begin_) == feed_->frontier) {
+      live_ = false;
+      feed_->SetIdle(position_);
+    }
+  }
+  void clear() {
+    AQSIOS_DCHECK(!live_);
+    ring_.clear();
+  }
+
+  // --- Leaf side (exec::Engine) ---
+  /// Subscribes the leaf at `position` of `feed`, idle: from now on it
+  /// receives every delivered row it does not shed.
+  void Subscribe(StreamFeed* feed, int position, bool sheddable);
+  /// Ends the subscription; returns the first pending row of the live
+  /// range, or -1 when it was empty.
+  int64_t Unsubscribe();
+  /// An idle subscribed leaf received row `row` (or, on migration, takes
+  /// over the range [row, frontier)): it becomes live.
+  void Activate(int64_t row);
+  /// Moves the ring out (migration).
+  TupleQueue TakeRing() { return std::move(ring_); }
+  const TupleQueue& ring() const { return ring_; }
+
+ private:
+  int64_t LiveSize() const {
+    int64_t n = feed_->frontier - static_cast<int64_t>(begin_);
+    if (sheddable_) {
+      n -= feed_->ShedAtOrBelow(position_) - static_cast<int64_t>(shed_base_);
+    }
+    return n;
+  }
+  bool Sheds(int64_t row) const {
+    return feed_->shed_from[static_cast<size_t>(row)] <= position_;
+  }
+  void SkipShedRows() {
+    while (static_cast<int64_t>(begin_) < feed_->frontier && Sheds(begin_)) {
+      ++begin_;
+      ++shed_base_;
+    }
+  }
+
+  // Ordered so a Unit stays small: the schedulers' full-table scans
+  // (ResyncQueues) read every unit's emptiness.
+  TupleQueue ring_;
+  /// The live range is non-empty.
+  bool live_ = false;
+  bool sheddable_ = false;
+  int32_t position_ = 0;
+  /// Live range: first pending row (valid while live_; row indexes are
+  /// 32-bit, see stream::BuildStreamRowIndex), and ShedAtOrBelow of this
+  /// position at the time the range started plus the shed rows the leaf has
+  /// skipped since — so the range's skipped rows are
+  /// ShedAtOrBelow(position_) - shed_base_.
+  uint32_t begin_ = 0;
+  uint32_t shed_base_ = 0;
+  /// Non-null while subscribed (leaf units only).
+  StreamFeed* feed_ = nullptr;
+};
+
 /// Static priority ingredients of a unit (derived from SegmentStats, or from
 /// a sharing strategy for kSharedGroup units). "Static" means per-scheduling
 /// -point constant; the adaptive statistics monitor may refresh these from
@@ -218,11 +373,13 @@ struct Unit {
   /// non-leaf kOperator units) fed by upstream units.
   stream::StreamId input_stream = -1;
 
+  // The queue precedes the stats: every dispatch and readiness change reads
+  // the queue's state, which then shares a cache line with the fields above.
+  UnitQueue queue;
   UnitStats stats;
-  TupleQueue queue;
 
   bool has_pending() const { return !queue.empty(); }
-  const QueueEntry& head() const { return queue.front(); }
+  QueueEntry head() const { return queue.front(); }
   /// Wait time of the head-of-queue tuple (W_x in the paper).
   SimTime HeadWait(SimTime now) const { return now - queue.front().arrival_time; }
 };

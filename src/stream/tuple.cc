@@ -1,5 +1,9 @@
 #include "stream/tuple.h"
 
+#include <limits>
+
+#include "common/check.h"
+
 namespace aqsios::stream {
 
 SimTime ArrivalTable::MeanInterArrival() const {
@@ -24,6 +28,32 @@ SimTime ArrivalTable::MeanInterArrival(StreamId stream) const {
 
 SimTime ArrivalTable::Horizon() const {
   return arrivals.empty() ? 0.0 : arrivals.back().time;
+}
+
+StreamRowIndex BuildStreamRowIndex(const ArrivalTable& table,
+                                   int num_streams) {
+  AQSIOS_CHECK_GE(num_streams, 0);
+  AQSIOS_CHECK_LE(table.size(),
+                  static_cast<int64_t>(std::numeric_limits<uint32_t>::max()))
+      << "row indexes are 32-bit";
+  StreamRowIndex index;
+  index.offsets.assign(static_cast<size_t>(num_streams) + 1, 0);
+  for (const Arrival& a : table.arrivals) {
+    AQSIOS_CHECK(a.stream >= 0 && a.stream < num_streams)
+        << "arrival " << a.id << " on unknown stream " << a.stream;
+    ++index.offsets[static_cast<size_t>(a.stream) + 1];
+  }
+  for (size_t s = 1; s < index.offsets.size(); ++s) {
+    index.offsets[s] += index.offsets[s - 1];
+  }
+  index.rows.resize(table.arrivals.size());
+  std::vector<int64_t> next(index.offsets.begin(), index.offsets.end() - 1);
+  for (size_t i = 0; i < table.arrivals.size(); ++i) {
+    index.rows[static_cast<size_t>(
+        next[static_cast<size_t>(table.arrivals[i].stream)]++)] =
+        static_cast<uint32_t>(i);
+  }
+  return index;
 }
 
 }  // namespace aqsios::stream

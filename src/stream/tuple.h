@@ -7,6 +7,7 @@
 #ifndef AQSIOS_STREAM_TUPLE_H_
 #define AQSIOS_STREAM_TUPLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +63,30 @@ struct ArrivalTable {
   /// Total simulated horizon (time of last arrival); 0 when empty.
   SimTime Horizon() const;
 };
+
+/// Arrival-table indexes grouped by stream, each stream's in table order:
+/// the k-th arrival of stream s is arrivals[rows[offsets[s] + k]]. The
+/// engine's leaf queues are ranges over a stream's rows (sched::StreamFeed),
+/// so the index is built once per table — 4 bytes per arrival — and engines
+/// running over one table share it.
+struct StreamRowIndex {
+  std::vector<uint32_t> rows;
+  /// num_streams + 1 entries.
+  std::vector<int64_t> offsets;
+
+  int num_streams() const { return static_cast<int>(offsets.size()) - 1; }
+  const uint32_t* RowsOf(StreamId stream) const {
+    return rows.data() + offsets[static_cast<size_t>(stream)];
+  }
+  int64_t SizeOf(StreamId stream) const {
+    return offsets[static_cast<size_t>(stream) + 1] -
+           offsets[static_cast<size_t>(stream)];
+  }
+};
+
+/// Builds the index of `table` over streams [0, num_streams) (every arrival's
+/// stream must lie in that range; checked).
+StreamRowIndex BuildStreamRowIndex(const ArrivalTable& table, int num_streams);
 
 }  // namespace aqsios::stream
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iterator>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,8 @@
 namespace aqsios {
 namespace {
 
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h = 0xcbf29ce484222325ull) {
+uint64_t Fnv1a(const void* data, size_t n,
+               uint64_t h = 0xcbf29ce484222325ull) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; ++i) {
     h ^= bytes[i];
@@ -170,9 +172,8 @@ void ExpectGolden(const std::string& cell, const std::string& digest) {
   }
 }
 
-/// Whether the cell is traced as well (a representative slice, to keep the
-/// matrix in seconds: every policy and shed setting, per-tuple and trains,
-/// on every shape except the three-way join).
+/// Whether the cell is traced as well: every cell but the three-way joins'
+/// trains, which keeps the matrix to about two seconds.
 bool Traced(Shape shape, int batch) {
   return shape != Shape::kJoin3 || batch == 1;
 }
@@ -188,6 +189,8 @@ std::string CellName(const Cell& c) {
   return std::string(kPolicies[c.policy].name) + "/" + ShedName(c.shed) +
          "/" + ShapeName(c.shape) + "/b" + std::to_string(c.batch);
 }
+
+void PrintTo(const Cell& c, std::ostream* os) { *os << CellName(c); }
 
 std::vector<Cell> AllCells() {
   std::vector<Cell> cells;
@@ -288,7 +291,8 @@ core::SimulationOptions ElasticOptions() {
   return options;
 }
 
-int64_t Sum(const core::ShardedRunResult& run, int64_t core::ShardRunStats::*f) {
+int64_t Sum(const core::ShardedRunResult& run,
+            int64_t core::ShardRunStats::*f) {
   int64_t total = 0;
   for (const core::ShardRunStats& stats : run.shard_stats) total += stats.*f;
   return total;

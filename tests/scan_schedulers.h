@@ -159,8 +159,12 @@ class ScanClusteredBsdScheduler : public Scheduler {
     by_head_time_.clear();
   }
 
+  // One shadow entry per queued tuple: like the production policy, the
+  // oracle needs every delivered entry, not just readiness changes.
+  bool WantsEveryEnqueue() const override { return true; }
+
   void OnEnqueue(int unit) override {
-    const QueueEntry& pushed = (*units_)[static_cast<size_t>(unit)].queue.back();
+    const QueueEntry pushed = (*units_)[static_cast<size_t>(unit)].queue.back();
     const int cluster = clustering_.cluster_of_unit[static_cast<size_t>(unit)];
     auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
     if (queue.empty()) by_head_time_.insert({pushed.arrival_time, cluster});
@@ -281,7 +285,7 @@ class ScanClusteredBsdScheduler : public Scheduler {
       if (!selected(cluster)) continue;
       auto& queue = cluster_queues_[static_cast<size_t>(cluster)];
       for (size_t i = 0; i < u.queue.size(); ++i) {
-        const QueueEntry& e = u.queue.at(i);
+        const QueueEntry e = u.queue.at(i);
         queue.push_back(Entry{u.id, e.arrival, e.arrival_time});
       }
     }

@@ -5,6 +5,7 @@
 // re-keys with the scan oracle's live re-derivation, and the no-full-rebuild
 // pin (KineticIndex::clears() stays 0 on the calibration path).
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,36 @@ TEST(CostCalibratorTest, ConvergesToObservedRatiosAndRescalesIdealTime) {
   EXPECT_TRUE(calibrator.MaybeCalibrate(2.0));
   EXPECT_EQ(calibrator.updates(), 1);
   EXPECT_EQ(scheduler.calls, 1);
+}
+
+TEST(CostCalibratorTest, ZeroStaticCostLeavesIdealTimeAndDriftFinite) {
+  // Unit 0 has static cost 0 (a free segment): there is no ratio to rescale
+  // its T by, and no relative drift to average in.
+  // (Set by hand: no static rate is derivable from a zero cost.)
+  UnitTable units(1);
+  units[0].stats.expected_cost = 0.0;
+  units[0].stats.selectivity = 0.5;
+  units[0].stats.ideal_time = 0.002;
+  units.push_back(MakeUnit(1, /*cost=*/0.001, /*selectivity=*/0.5,
+                           /*ideal_time=*/0.002));
+  RecordingScheduler scheduler;
+  scheduler.Attach(&units);
+  CalibrationConfig config;
+  config.enabled = true;
+  config.period = 1.0;
+  CostCalibrator calibrator(config, &units, &scheduler);
+
+  calibrator.OnDispatch(0, 100, 100 * 0.002, 50);
+  calibrator.OnDispatch(1, 100, 100 * 0.002, 50);
+  ASSERT_TRUE(calibrator.MaybeCalibrate(1.0));
+
+  EXPECT_DOUBLE_EQ(units[0].stats.expected_cost, 0.002);
+  EXPECT_DOUBLE_EQ(units[0].stats.ideal_time, 0.002);
+  EXPECT_TRUE(std::isfinite(units[0].stats.phi));
+  EXPECT_GT(units[0].stats.phi, 0.0);
+  EXPECT_DOUBLE_EQ(units[1].stats.ideal_time, 0.004);
+  // The mean covers unit 1 only: |0.002 / 0.001 - 1| = 1.
+  EXPECT_DOUBLE_EQ(calibrator.MeanAbsCostDrift(), 1.0);
 }
 
 TEST(CostCalibratorTest, DecayForgetsTheOldRegime) {

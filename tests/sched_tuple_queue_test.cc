@@ -1,8 +1,12 @@
 // TupleQueue regression tests for the ring buffer's tricky transitions:
 // growing while the ring is wrapped (head past the physical middle) and
-// shrinking surplus capacity back down after a burst drains.
+// shrinking surplus capacity back down after a burst drains; and UnitQueue's
+// leaf side: a live range over a stream feed behind a ring prefix, and the
+// rows a sheddable leaf skips.
 
+#include <cstdint>
 #include <deque>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +140,97 @@ TEST(TupleQueueTest, ShrinkAfterWraparoundPreservesOrder) {
     model.push_back(next++);
   }
   ExpectFifo(queue, model);
+}
+
+// A stream feed over `n` arrivals at times 0, 1, 2, ... with `leaves`
+// positions, nothing delivered yet.
+struct Feed {
+  Feed(int n, int leaves) {
+    for (int i = 0; i < n; ++i) {
+      stream::Arrival arrival;
+      arrival.id = i;
+      arrival.time = i;
+      table.push_back(arrival);
+      rows.push_back(static_cast<uint32_t>(i));
+    }
+    feed.rows = rows.data();
+    feed.table = table.data();
+    feed.idle.assign(1, 0);
+    feed.shed_before_block.assign(1, 0);
+    feed.shed_in_block.assign(static_cast<size_t>(leaves), 0);
+  }
+  /// Delivers the next row; `shed_from` is its shed position (the number of
+  /// leaves when nothing shed it).
+  int64_t Deliver(int shed_from, int leaves) {
+    feed.shed_from.push_back(shed_from);
+    if (shed_from < leaves) feed.CountShed(shed_from);
+    return feed.frontier++;
+  }
+
+  std::vector<stream::Arrival> table;
+  std::vector<uint32_t> rows;
+  StreamFeed feed;
+};
+
+TEST(UnitQueueTest, LiveRangeFollowsTheFrontierBehindARingPrefix) {
+  Feed f(6, 1);
+  UnitQueue queue;
+  queue.push_back(QueueEntry{100, 0.5});  // a stolen prefix
+  queue.Subscribe(&f.feed, 0, /*sheddable=*/false);
+  EXPECT_TRUE(f.feed.IsIdle(0));
+  EXPECT_EQ(queue.size(), 1u);
+
+  queue.Activate(f.Deliver(1, 1));
+  EXPECT_FALSE(f.feed.IsIdle(0));
+  f.Deliver(1, 1);
+  f.Deliver(1, 1);  // rows 1 and 2 join the range with no call
+  ASSERT_EQ(queue.size(), 4u);
+  EXPECT_EQ(queue.front().arrival, 100);
+  EXPECT_EQ(queue.at(1).arrival, 0);
+  EXPECT_EQ(queue.at(3).arrival, 2);
+  EXPECT_EQ(queue.back().arrival, 2);
+  EXPECT_DOUBLE_EQ(queue.back().arrival_time, 2.0);
+
+  queue.pop_front();
+  EXPECT_EQ(queue.front().arrival, 0);
+  queue.pop_front();
+  queue.pop_front();
+  EXPECT_EQ(queue.front().arrival, 2);
+  queue.pop_front();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(f.feed.IsIdle(0)) << "a drained leaf is idle again";
+  EXPECT_EQ(queue.Unsubscribe(), -1);
+  EXPECT_FALSE(f.feed.IsIdle(0));
+}
+
+TEST(UnitQueueTest, SheddableLeafSkipsRowsShedAtOrBelowItsPosition) {
+  // Two leaves; the sheddable one sits at position 1, so it skips the rows
+  // whose shed position is 0 or 1 and keeps those nobody shed (2).
+  Feed f(6, 2);
+  UnitQueue queue;
+  queue.Subscribe(&f.feed, 1, /*sheddable=*/true);
+  queue.Activate(f.Deliver(2, 2));  // row 0: kept
+  f.Deliver(1, 2);                  // row 1: shed from position 1 on
+  f.Deliver(0, 2);                  // row 2: shed from position 0 on
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.back().arrival, 0);
+  f.Deliver(2, 2);                  // row 3: kept
+  ASSERT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.at(1).arrival, 3);
+  EXPECT_EQ(queue.back().arrival, 3);
+
+  queue.pop_front();  // skips rows 1 and 2
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.front().arrival, 3);
+  queue.pop_front();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(f.feed.IsIdle(1));
+
+  // Idle again, it receives row 5 after skipping row 4 without a pop.
+  f.Deliver(1, 2);
+  queue.Activate(f.Deliver(2, 2));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.front().arrival, 5);
 }
 
 }  // namespace
