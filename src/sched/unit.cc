@@ -83,14 +83,6 @@ int64_t UnitQueue::Unsubscribe() {
   return begin;
 }
 
-void UnitQueue::Activate(int64_t row) {
-  AQSIOS_DCHECK(feed_ != nullptr && !live_);
-  begin_ = static_cast<uint32_t>(row);
-  shed_base_ =
-      sheddable_ ? static_cast<uint32_t>(feed_->ShedAtOrBelow(position_)) : 0;
-  live_ = true;
-  feed_->ClearIdle(position_);
-}
 
 const char* UnitKindName(UnitKind kind) {
   switch (kind) {

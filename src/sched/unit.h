@@ -284,7 +284,15 @@ class UnitQueue {
   int64_t Unsubscribe();
   /// An idle subscribed leaf received row `row` (or, on migration, takes
   /// over the range [row, frontier)): it becomes live.
-  void Activate(int64_t row);
+  void Activate(int64_t row) {
+    AQSIOS_DCHECK(feed_ != nullptr && !live_);
+    begin_ = static_cast<uint32_t>(row);
+    shed_base_ = sheddable_
+                     ? static_cast<uint32_t>(feed_->ShedAtOrBelow(position_))
+                     : 0;
+    live_ = true;
+    feed_->ClearIdle(position_);
+  }
   /// Moves the ring out (migration).
   TupleQueue TakeRing() { return std::move(ring_); }
   const TupleQueue& ring() const { return ring_; }
