@@ -1,9 +1,10 @@
 // Golden digests of arrival delivery: the FNV-1a 64 of core::RunResultToJson
 // for a matrix of policies × shedding × plan shapes × train sizes, plus
 // operator-level, elastic-rebalance, work-stealing and shed-sharded runs.
-// The digests were recorded from the engine that copied every arrival into
-// every leaf queue; any delivery representation must reproduce them byte for
-// byte. Traced cells additionally pin the per-kind event counts and a digest
+// The matrix digests were recorded from the engine that copied every arrival
+// into every leaf queue, and the drift, calibration, adaptation and telemetry
+// cells from the engine that still had a separate per-tuple dispatcher; any
+// delivery or dispatch representation must reproduce them byte for byte. Traced cells additionally pin the per-kind event counts and a digest
 // of the whole event stream (kinds, clocks, payloads, in recording order),
 // and must report the untraced digest (an attached tracer is invisible).
 //
@@ -24,6 +25,7 @@
 #include "core/report.h"
 #include "core/sharded_dsms.h"
 #include "exec/unit_builder.h"
+#include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "query/workload.h"
 #include "sched/policy.h"
@@ -150,8 +152,8 @@ core::SimulationOptions OptionsFor(Shed shed, int batch) {
   return options;
 }
 
-/// Recorded with the per-(arrival, leaf) delivery engine. The API accepts
-/// every combination of the matrix, so no cell is skipped.
+/// The recorded digests (see the file comment). The API accepts every
+/// combination of the matrix, so no cell is skipped.
 const std::map<std::string, std::string>& Golden() {
   static const std::map<std::string, std::string> golden = {
 #include "exec_delivery_golden.inc"
@@ -209,25 +211,25 @@ std::vector<Cell> AllCells() {
 
 class DeliveryGoldenTest : public ::testing::TestWithParam<Cell> {};
 
-TEST_P(DeliveryGoldenTest, DigestMatches) {
-  const Cell& cell = GetParam();
-  const query::Workload& workload = WorkloadFor(cell.shape);
-  const sched::PolicyConfig policy =
-      sched::PolicyConfig::Of(kPolicies[cell.policy].kind);
-  core::SimulationOptions options = OptionsFor(cell.shed, cell.batch);
-  const std::string name = CellName(cell);
+/// Pins the digest of `options`' run under `name`; when `traced`, also pins
+/// that an attached tracer leaves the digest alone, the per-kind event counts
+/// and the event-stream digest.
+void ExpectGoldenRun(const std::string& name, const query::Workload& workload,
+                     const sched::PolicyConfig& policy,
+                     core::SimulationOptions options, bool traced) {
   const std::string digest =
       Digest(core::Simulate(workload, policy, options));
   ExpectGolden(name, digest);
 
-  if (!Traced(cell.shape, cell.batch)) return;
+  if (!traced) return;
   // One ring for every traced cell: allocating and zeroing 2^20 events per
   // cell would dominate the matrix's run time.
   static obs::EventTracer tracer(size_t{1} << 20);
   tracer.Clear();
   options.tracer = &tracer;
-  const std::string traced = Digest(core::Simulate(workload, policy, options));
-  EXPECT_EQ(traced, digest) << "an attached tracer changed " << name;
+  const std::string traced_digest =
+      Digest(core::Simulate(workload, policy, options));
+  EXPECT_EQ(traced_digest, digest) << "an attached tracer changed " << name;
   ASSERT_EQ(tracer.dropped(), 0) << "tracer too small for " << name;
   std::string counts;
   for (int k = 0; k <= static_cast<int>(obs::EventKind::kShed); ++k) {
@@ -236,6 +238,14 @@ TEST_P(DeliveryGoldenTest, DigestMatches) {
   }
   ExpectGolden(name + "/trace-counts", counts);
   ExpectGolden(name + "/trace-stream", EventStreamDigest(tracer.Events()));
+}
+
+TEST_P(DeliveryGoldenTest, DigestMatches) {
+  const Cell& cell = GetParam();
+  ExpectGoldenRun(CellName(cell), WorkloadFor(cell.shape),
+                  sched::PolicyConfig::Of(kPolicies[cell.policy].kind),
+                  OptionsFor(cell.shed, cell.batch),
+                  Traced(cell.shape, cell.batch));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -346,6 +356,118 @@ TEST(DeliveryGoldenExtraTest, ShardedShedWithAdmission) {
       WorkloadFor(Shape::kSingle),
       sched::PolicyConfig::Of(sched::PolicyKind::kHnr), options);
   ExpectGolden("sharded-shed", Digest(run.result));
+}
+
+
+// --- Per-tuple features off the matrix ---------------------------------------
+// Statistics drift, calibration, §10 adaptation and live telemetry each hook
+// the per-tuple dispatch; these cells pin their results on the single-stream
+// shape (drift refuses sharing groups and joins).
+
+constexpr PolicyCase kFeaturePolicies[] = {
+    {"fcfs", sched::PolicyKind::kFcfs},
+    {"hnr", sched::PolicyKind::kHnr},
+    {"lsf", sched::PolicyKind::kLsf},
+    {"bsd", sched::PolicyKind::kBsd},
+};
+
+core::SimulationOptions DriftOptions() {
+  const SimTime span = WorkloadFor(Shape::kSingle).arrivals.Horizon();
+  core::SimulationOptions options;
+  options.drift.enabled = true;
+  options.drift.modulo = 3;
+  options.drift.cost_factor = 2.5;
+  options.drift.selectivity_factor = 0.6;
+  options.drift.step_time = 0.3 * span;
+  options.drift.ramp_seconds = 0.2 * span;
+  return options;
+}
+
+TEST(DeliveryGoldenExtraTest, Drift) {
+  for (const PolicyCase& p : kFeaturePolicies) {
+    for (exec::SchedulingLevel level : {exec::SchedulingLevel::kQueryLevel,
+                                        exec::SchedulingLevel::kOperatorLevel}) {
+      core::SimulationOptions options = DriftOptions();
+      options.level = level;
+      const bool query_level = level == exec::SchedulingLevel::kQueryLevel;
+      ExpectGoldenRun(std::string("drift/") + (query_level ? "query" : "op") +
+                          "/" + p.name,
+                      WorkloadFor(Shape::kSingle),
+                      sched::PolicyConfig::Of(p.kind), options,
+                      /*traced=*/true);
+    }
+  }
+}
+
+TEST(DeliveryGoldenExtraTest, Calibration) {
+  const SimTime span = WorkloadFor(Shape::kSingle).arrivals.Horizon();
+  for (const PolicyCase& p : kFeaturePolicies) {
+    for (bool drift : {false, true}) {
+      core::SimulationOptions options =
+          drift ? DriftOptions() : core::SimulationOptions{};
+      options.calibration.enabled = true;
+      options.calibration.period = span / 50.0;
+      const core::RunResult run = core::Simulate(
+          WorkloadFor(Shape::kSingle), sched::PolicyConfig::Of(p.kind),
+          options);
+      EXPECT_GT(run.counters.calibration_epochs, 0);
+      ExpectGoldenRun(std::string("calibration/") + p.name +
+                          (drift ? "/drift" : ""),
+                      WorkloadFor(Shape::kSingle),
+                      sched::PolicyConfig::Of(p.kind), options,
+                      /*traced=*/true);
+    }
+  }
+}
+
+TEST(DeliveryGoldenExtraTest, Adaptation) {
+  const SimTime span = WorkloadFor(Shape::kSingle).arrivals.Horizon();
+  for (const PolicyCase& p : kFeaturePolicies) {
+    core::SimulationOptions options;
+    options.adaptation.enabled = true;
+    options.adaptation.period = span / 40.0;
+    options.adaptation.min_executions = 4;
+    const core::RunResult run = core::Simulate(
+        WorkloadFor(Shape::kSingle), sched::PolicyConfig::Of(p.kind), options);
+    EXPECT_GT(run.counters.adaptation_ticks, 0);
+    ExpectGoldenRun(std::string("adaptation/") + p.name,
+                    WorkloadFor(Shape::kSingle),
+                    sched::PolicyConfig::Of(p.kind), options,
+                    /*traced=*/true);
+  }
+}
+
+TEST(DeliveryGoldenExtraTest, TelemetrySink) {
+  // An attached hub is invisible in the result; its last published sample
+  // is pinned field by field.
+  for (const PolicyCase& p : kFeaturePolicies) {
+    obs::TelemetryHub hub(1);
+    core::SimulationOptions options;
+    options.telemetry = &hub;
+    const std::string name = std::string("telemetry/") + p.name;
+    const std::string digest = Digest(core::Simulate(
+        WorkloadFor(Shape::kSingle), sched::PolicyConfig::Of(p.kind), options));
+    options.telemetry = nullptr;
+    EXPECT_EQ(digest, Digest(core::Simulate(WorkloadFor(Shape::kSingle),
+                                            sched::PolicyConfig::Of(p.kind),
+                                            options)))
+        << "an attached telemetry hub changed " << name;
+    ExpectGolden(name, digest);
+    obs::TelemetrySample s;
+    ASSERT_TRUE(hub.cell(0)->TryRead(&s));
+    EXPECT_TRUE(s.done);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const double v : {s.virtual_sec, s.busy_sec, s.slowdown_sum,
+                           s.max_slowdown}) {
+      h = Fnv1a(&v, sizeof(v), h);
+    }
+    for (const int64_t v : {s.queued_tuples, s.tuples_executed,
+                            s.tuples_emitted, s.tuples_filtered,
+                            s.scheduling_points, s.slowdown_count}) {
+      h = Fnv1a(&v, sizeof(v), h);
+    }
+    ExpectGolden(name + "/final-sample", Hex(h));
+  }
 }
 
 }  // namespace
