@@ -34,12 +34,16 @@
 // scripts/perf_compare.py gates the same load_imbalance ratio.
 //
 // The suite also measures live-telemetry overhead (docs/telemetry.md): the
-// shards=4 cell re-runs with an aggressive 20 ms obs::TelemetrySampler
-// attached, and the pair is spliced as
+// shards=4 cell re-runs in alternating bare / sampled pairs, the sampled run
+// with an aggressive 20 ms obs::TelemetrySampler attached, and the pair of
+// cells is spliced as
 //   {"name": "telemetry/sampler_off/q=500/shards=4", ...}
 //   {"name": "telemetry/sampler_on/q=500/shards=4", ...,
-//    "telemetry_overhead_pct": P}
-// scripts/perf_compare.py gates telemetry_overhead_pct (default max 2%).
+//    "telemetry_overhead_pct": P, "telemetry_overhead_iqr_pct": I,
+//    "pairs": N}
+// where P is the median of the N per-pair overheads and I their
+// interquartile range. scripts/perf_compare.py gates telemetry_overhead_pct
+// (default max 2%).
 // --metrics-out / --telemetry-jsonl / --metrics-port additionally attach a
 // sampler to the first repetition of every scaling cell for live viewing
 // (e.g. trace_tool top); min-wall timing still comes from the bare reps.
@@ -88,75 +92,122 @@ struct ScalingCell {
   int64_t tuples_emitted = 0;
 };
 
-/// Which repetitions run with a live obs::TelemetrySampler attached.
-enum class SampleReps {
-  kNone,      // bare timing runs
-  kFirst,     // live viewing: rep 0 sampled, min-wall still from bare reps
-  kAll,       // overhead measurement: every rep pays the sampler
-};
-
-/// One (shards=K) measurement: `reps` timed runs, fastest kept. Repeated
-/// runs must agree exactly on the virtual results (the determinism contract
-/// of docs/scaling.md) or the bench aborts — and since sampled and bare
-/// repetitions are compared by the same CHECK, a sampler that perturbed
-/// results would abort the suite.
-ScalingCell RunCell(const query::Workload& workload,
-                    const sched::PolicyConfig& policy, int shards,
-                    int threads, int reps,
-                    const obs::TelemetryOptions& telemetry,
-                    SampleReps sample_reps) {
+/// One timed (shards=K) run, with a live obs::TelemetrySampler attached
+/// when `sampled`. Folds the run into `cell`: the first run sets the virtual
+/// results, later runs must agree with them exactly (the determinism
+/// contract of docs/scaling.md) or the bench aborts — and since sampled and
+/// bare runs are compared by the same CHECK, a sampler that perturbed
+/// results would abort the suite. `cell.wall_ms` keeps the fastest run.
+/// Returns this run's wall milliseconds.
+double TimeRun(const query::Workload& workload,
+               const sched::PolicyConfig& policy, int shards, int threads,
+               const obs::TelemetryOptions& telemetry, bool sampled,
+               ScalingCell* cell) {
   core::SimulationOptions options;
   options.qos.track_per_class = false;
   options.shards = shards;
   options.shard_threads = threads;
-
-  ScalingCell cell;
-  cell.shards = shards;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool sampled = sample_reps == SampleReps::kAll ||
-                         (sample_reps == SampleReps::kFirst && rep == 0);
-    obs::TelemetryHub hub(shards);
-    obs::TelemetryMeta meta;
-    meta.job = "bench_scaling";
-    meta.policy = "bsd";
-    obs::TelemetrySampler sampler(&hub, telemetry, meta);
-    options.telemetry = sampled ? &hub : nullptr;
-    if (sampled) sampler.Start();
-    const Clock::time_point start = Clock::now();
-    int64_t tuples = 0;
-    double slowdown = 0.0;
-    double imbalance = 1.0;
-    if (shards > 1) {
-      const core::ShardedRunResult sharded =
-          core::SimulateSharded(workload, policy, options);
-      tuples = sharded.result.qos.tuples_emitted;
-      slowdown = sharded.result.qos.avg_slowdown;
-      imbalance = sharded.LoadImbalance();
-    } else {
-      const core::RunResult result =
-          core::Simulate(workload, policy, options);
-      tuples = result.qos.tuples_emitted;
-      slowdown = result.qos.avg_slowdown;
-    }
-    if (sampled) sampler.Stop();
-    const double ms = ElapsedMs(start);
-    if (rep == 0) {
-      cell.wall_ms = ms;
-      cell.tuples_emitted = tuples;
-      cell.avg_slowdown = slowdown;
-      cell.load_imbalance = imbalance;
-    } else {
-      AQSIOS_CHECK(tuples == cell.tuples_emitted &&
-                   slowdown == cell.avg_slowdown)
-          << "repeated sharded runs diverged at shards=" << shards;
-      cell.wall_ms = std::min(cell.wall_ms, ms);
-    }
+  obs::TelemetryHub hub(shards);
+  obs::TelemetryMeta meta;
+  meta.job = "bench_scaling";
+  meta.policy = "bsd";
+  obs::TelemetrySampler sampler(&hub, telemetry, meta);
+  options.telemetry = sampled ? &hub : nullptr;
+  if (sampled) sampler.Start();
+  const Clock::time_point start = Clock::now();
+  int64_t tuples = 0;
+  double slowdown = 0.0;
+  double imbalance = 1.0;
+  if (shards > 1) {
+    const core::ShardedRunResult sharded =
+        core::SimulateSharded(workload, policy, options);
+    tuples = sharded.result.qos.tuples_emitted;
+    slowdown = sharded.result.qos.avg_slowdown;
+    imbalance = sharded.LoadImbalance();
+  } else {
+    const core::RunResult result = core::Simulate(workload, policy, options);
+    tuples = result.qos.tuples_emitted;
+    slowdown = result.qos.avg_slowdown;
   }
-  cell.tuples_per_wall_sec =
-      cell.wall_ms > 0.0
-          ? static_cast<double>(cell.tuples_emitted) / (cell.wall_ms / 1e3)
-          : 0.0;
+  if (sampled) sampler.Stop();
+  const double ms = ElapsedMs(start);
+  if (cell->shards == 0) {
+    cell->shards = shards;
+    cell->wall_ms = ms;
+    cell->tuples_emitted = tuples;
+    cell->avg_slowdown = slowdown;
+    cell->load_imbalance = imbalance;
+  } else {
+    AQSIOS_CHECK(tuples == cell->tuples_emitted &&
+                 slowdown == cell->avg_slowdown)
+        << "repeated sharded runs diverged at shards=" << shards;
+    cell->wall_ms = std::min(cell->wall_ms, ms);
+  }
+  cell->tuples_per_wall_sec =
+      cell->wall_ms > 0.0 ? static_cast<double>(cell->tuples_emitted) /
+                                (cell->wall_ms / 1e3)
+                          : 0.0;
+  return ms;
+}
+
+/// One (shards=K) measurement: `reps` timed runs, fastest kept. With
+/// `sample_first`, rep 0 runs with the live sampler attached (live viewing);
+/// the fastest rep is still almost always a bare one.
+ScalingCell RunCell(const query::Workload& workload,
+                    const sched::PolicyConfig& policy, int shards,
+                    int threads, int reps,
+                    const obs::TelemetryOptions& telemetry,
+                    bool sample_first) {
+  ScalingCell cell;
+  for (int rep = 0; rep < reps; ++rep) {
+    TimeRun(workload, policy, shards, threads, telemetry,
+            sample_first && rep == 0, &cell);
+  }
   return cell;
+}
+
+/// Linear-interpolation quantile of `sorted` (ascending, non-empty).
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double h = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(h);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (h - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+/// The sampler-overhead measurement: `pairs` back-to-back (bare, sampled)
+/// runs of one cell, alternating which goes first, so host-speed drift over
+/// the measurement lands on both sides. The overhead is read per pair.
+struct SamplerOverhead {
+  ScalingCell off;
+  ScalingCell on;
+  int pairs = 0;
+  double median_pct = 0.0;
+  double iqr_pct = 0.0;
+};
+
+SamplerOverhead MeasureSamplerOverhead(const query::Workload& workload,
+                                       const sched::PolicyConfig& policy,
+                                       int shards, int threads, int pairs,
+                                       const obs::TelemetryOptions& sampler) {
+  SamplerOverhead result;
+  result.pairs = pairs;
+  std::vector<double> pct;
+  for (int i = 0; i < pairs; ++i) {
+    double ms[2] = {0.0, 0.0};  // [bare, sampled]
+    for (const int sampled : {i % 2, 1 - i % 2}) {
+      ms[sampled] = TimeRun(workload, policy, shards, threads, sampler,
+                            sampled == 1,
+                            sampled == 1 ? &result.on : &result.off);
+    }
+    pct.push_back(ms[0] > 0.0 ? (ms[1] - ms[0]) / ms[0] * 100.0 : 0.0);
+  }
+  AQSIOS_CHECK(result.on.tuples_emitted == result.off.tuples_emitted &&
+               result.on.avg_slowdown == result.off.avg_slowdown)
+      << "an attached sampler changed the results";
+  std::sort(pct.begin(), pct.end());
+  result.median_pct = Quantile(pct, 0.5);
+  result.iqr_pct = Quantile(pct, 0.75) - Quantile(pct, 0.25);
+  return result;
 }
 
 std::string CellLine(const ScalingCell& cell, int queries, int64_t arrivals) {
@@ -174,13 +225,12 @@ std::string CellLine(const ScalingCell& cell, int queries, int64_t arrivals) {
   return os.str();
 }
 
-/// The sampler-overhead pair: the shards=4 cell bare vs with an aggressive
-/// sampler attached on every repetition.
-std::string OverheadLine(const ScalingCell& off, const ScalingCell& on,
-                         bool sampler_on, int queries, int64_t arrivals) {
+/// One cell of the sampler-overhead pair (fastest run of its side).
+std::string OverheadLine(const SamplerOverhead& overhead, bool sampler_on,
+                         int queries, int64_t arrivals) {
   std::ostringstream os;
   os.precision(17);
-  const ScalingCell& cell = sampler_on ? on : off;
+  const ScalingCell& cell = sampler_on ? overhead.on : overhead.off;
   const double wall_ns = cell.wall_ms * 1e6;
   os << "    {\"name\": \"telemetry/sampler_"
      << (sampler_on ? "on" : "off") << "/q=" << queries
@@ -188,10 +238,9 @@ std::string OverheadLine(const ScalingCell& off, const ScalingCell& on,
      << wall_ns / static_cast<double>(std::max<int64_t>(arrivals, 1))
      << ", \"ops\": " << arrivals << ", \"wall_ms\": " << cell.wall_ms;
   if (sampler_on) {
-    const double pct = off.wall_ms > 0.0
-                           ? (on.wall_ms - off.wall_ms) / off.wall_ms * 100.0
-                           : 0.0;
-    os << ", \"telemetry_overhead_pct\": " << pct;
+    os << ", \"telemetry_overhead_pct\": " << overhead.median_pct
+       << ", \"telemetry_overhead_iqr_pct\": " << overhead.iqr_pct
+       << ", \"pairs\": " << overhead.pairs;
   }
   os << ", \"tuples_emitted\": " << cell.tuples_emitted << "}";
   return os.str();
@@ -569,13 +618,11 @@ int Main(int argc, char** argv) {
   live.http_port = metrics_port;
   const bool live_enabled =
       !metrics_out.empty() || !telemetry_jsonl.empty() || metrics_port >= 0;
-  const SampleReps live_reps =
-      live_enabled ? SampleReps::kFirst : SampleReps::kNone;
 
   std::vector<ScalingCell> cells;
   for (const int shards : {1, 2, 4, 8}) {
     ScalingCell cell =
-        RunCell(workload, policy, shards, threads, reps, live, live_reps);
+        RunCell(workload, policy, shards, threads, reps, live, live_enabled);
     cell.speedup_vs_shards1 =
         cells.empty() ? 1.0 : cells.front().wall_ms / cell.wall_ms;
     std::cout << "scaling/bsd/q=" << queries << "/shards=" << shards << ": "
@@ -647,28 +694,22 @@ int Main(int argc, char** argv) {
         << skew_rebalance.load_imbalance;
   }
 
-  // Sampler-overhead pair: re-run the shards=4 cell bare and with an
-  // aggressive 20 ms sampler (5x the operational default) on every
-  // repetition (no file/HTTP outputs — the cost measured is snapshot reads +
-  // watchdog + exposition rendering, plus the wakeup preemption that
-  // dominates on core-constrained hosts). The perf gate
-  // (scripts/perf_compare.py) holds telemetry_overhead_pct <= 2%.
+  // Sampler-overhead pairs: re-run the shards=4 cell bare and with an
+  // aggressive 20 ms sampler (5x the operational default), alternating
+  // which side of a pair runs first (no file/HTTP outputs — the cost
+  // measured is snapshot reads + watchdog + exposition rendering, plus the
+  // wakeup preemption that dominates on core-constrained hosts). One
+  // overhead reading per pair; the cell reports their median and IQR, and
+  // the perf gate (scripts/perf_compare.py) holds the median <= 2%.
   obs::TelemetryOptions aggressive;
   aggressive.period_ms = 20.0;
-  const ScalingCell overhead_off =
-      RunCell(workload, policy, 4, threads, reps, aggressive,
-              SampleReps::kNone);
-  const ScalingCell overhead_on =
-      RunCell(workload, policy, 4, threads, reps, aggressive,
-              SampleReps::kAll);
-  const double overhead_pct =
-      overhead_off.wall_ms > 0.0
-          ? (overhead_on.wall_ms - overhead_off.wall_ms) /
-                overhead_off.wall_ms * 100.0
-          : 0.0;
+  const SamplerOverhead overhead = MeasureSamplerOverhead(
+      workload, policy, 4, threads, quick ? 1 : 3 * reps, aggressive);
   std::cout << "telemetry/sampler q=" << queries << " shards=4: off "
-            << overhead_off.wall_ms << " ms, on " << overhead_on.wall_ms
-            << " ms, overhead " << overhead_pct << "%\n";
+            << overhead.off.wall_ms << " ms, on " << overhead.on.wall_ms
+            << " ms (fastest), overhead median " << overhead.median_pct
+            << "% IQR " << overhead.iqr_pct << "% over " << overhead.pairs
+            << " pairs\n";
 
   std::vector<std::string> lines;
   for (const ScalingCell& cell : cells) {
@@ -678,10 +719,8 @@ int Main(int argc, char** argv) {
     lines.push_back(
         SkewCellLine(cell, skew_queries, skew_arrivals, skew_shards));
   }
-  lines.push_back(
-      OverheadLine(overhead_off, overhead_on, false, queries, arrivals));
-  lines.push_back(
-      OverheadLine(overhead_off, overhead_on, true, queries, arrivals));
+  lines.push_back(OverheadLine(overhead, false, queries, arrivals));
+  lines.push_back(OverheadLine(overhead, true, queries, arrivals));
   const double total_wall_ms = ElapsedMs(suite_start);
   if (!out.empty()) {
     if (!WriteReport(out, lines, queries, arrivals,

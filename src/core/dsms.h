@@ -40,8 +40,8 @@ struct SimulationOptions {
   /// default — off is byte-identical to pre-calibration builds.
   sched::CalibrationConfig calibration;
   /// Mid-run statistics drift of a query subset (stream/drift.h): the
-  /// workload scenario calibration exists for. Per-tuple dispatcher only
-  /// (checked); off by default and byte-inert when off.
+  /// workload scenario calibration exists for. Composes with batching;
+  /// off by default and byte-inert when off.
   stream::DriftConfig drift;
   metrics::QosCollector::Options qos;
   /// Optional event tracer forwarded to the engine (observation-only; the
@@ -60,19 +60,19 @@ struct SimulationOptions {
   int64_t attribution_sample_every = 0;
   /// Tuple-train batching (exec::EngineConfig::batch_size): maximum tuples
   /// drained from the picked unit per scheduling decision. 1 = classic
-  /// per-tuple dispatch (the default, bit-identical to the unbatched
-  /// engine); 0 = drain the whole queue; k > 1 amortizes one decision —
-  /// and its §9.2 overhead charge — over up to k tuples.
+  /// per-tuple dispatch (the default: every train is one tuple); 0 = drain
+  /// the whole queue; k > 1 amortizes one decision — and its §9.2 overhead
+  /// charge — over up to k tuples.
   int batch_size = 1;
   /// Optional time-quantum cap on the train (exec::EngineConfig::
   /// batch_quantum): expected-cost budget per dispatch in simulated
-  /// seconds; 0 disables. Any positive value engages the batched
-  /// dispatcher even at batch_size 1.
+  /// seconds; 0 disables. Any positive value counts as batching even at
+  /// batch_size 1 (train counters count, columnar kernels may engage).
   SimTime batch_quantum = 0.0;
   /// Columnar (SoA) kernel execution of batched chain trains
   /// (exec::EngineConfig::use_columnar_kernels, docs/performance.md).
   /// Results are bit-identical either way; on by default, off measures the
-  /// scalar train floor. Only engages when the batched dispatcher does.
+  /// scalar train floor. Only engages when batching is configured.
   bool use_columnar_kernels = true;
 
   /// Shard-parallel runtime (core/sharded_dsms.h, docs/scaling.md): number

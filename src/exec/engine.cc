@@ -48,6 +48,25 @@ void ClearBit(std::vector<uint64_t>& bits, int p) {
   bits[static_cast<size_t>(p) >> 6] &= ~(uint64_t{1} << (p & 63));
 }
 
+// Whether the op_ordinal-th operator of query q, at `selectivity` (its
+// actual selectivity times the tuple's drift factor), passes `arrival`.
+// Deterministic in (arrival, query, ordinal), so every policy, train length
+// and evaluation order sees the same outcome. The paper's testbed realizes
+// a correlated selectivity s as the predicate "attribute <= s·100" over the
+// synthetic uniform (0,100] attribute; otherwise the tuple draws a frozen
+// uniform. Under drift the correlated threshold moves, and the draw
+// compares the same frozen uniform against the scaled probability.
+inline bool FilterPasses(double selectivity, bool correlated,
+                         const stream::Arrival& arrival, query::QueryId q,
+                         int op_ordinal) {
+  if (selectivity >= 1.0) return true;
+  if (correlated) return arrival.attribute <= selectivity * 100.0;
+  return FrozenBernoulli(
+      MixKeys(kFilterSalt, static_cast<uint64_t>(arrival.id),
+              static_cast<uint64_t>(q), static_cast<uint64_t>(op_ordinal)),
+      selectivity);
+}
+
 }  // namespace
 
 void RunCounters::Merge(const RunCounters& other) {
@@ -281,9 +300,6 @@ Engine::Engine(const query::GlobalPlan* plan,
 
   drifting_ = config.drift.enabled;
   if (drifting_) {
-    AQSIOS_CHECK(!batching_)
-        << "statistics drift requires the per-tuple dispatcher (a train "
-           "charges one bulk cost for entries with different arrival times)";
     AQSIOS_CHECK(plan->sharing_groups().empty())
         << "statistics drift is per query; a shared operator execution "
            "spans queries with different drift factors";
@@ -338,8 +354,10 @@ Engine::Engine(const query::GlobalPlan* plan,
 
   // Traced runs keep the scalar train pass — it emits one
   // kOperatorInvocation event per charge in clock order, which the columnar
-  // replay cannot reproduce lazily.
-  columnar_ = config.use_columnar_kernels && batching_ && tracer_ == nullptr;
+  // replay cannot reproduce lazily — and so do drift runs, whose lanes
+  // carry their own cost and selectivity factors.
+  columnar_ = config.use_columnar_kernels && batching_ &&
+              tracer_ == nullptr && !drifting_;
 }
 
 void Engine::Charge(SimTime cost) {
@@ -356,23 +374,33 @@ void Engine::Charge(SimTime cost) {
   if (stats_monitor_ != nullptr) stats_monitor_->AddBusyTime(scaled);
 }
 
-void Engine::ChargeBulk(SimTime cost, int64_t invocations) {
-  if (invocations <= 0) return;
-  const SimTime scaled = cost * charge_scale_;
+void Engine::ChargeBulk(SimTime cost) {
+  // Σ of the lanes' cost factors: the lane count outside a drift run.
+  double factors = static_cast<double>(train_sel_.size());
+  if (drifting_) {
+    factors = 0.0;
+    for (const uint32_t idx : train_sel_) factors += train_scale_[idx].first;
+  }
   if (tracer_ != nullptr) {
-    // Traced batched runs keep one event per invocation (the count contract
-    // with RunCounters), timestamped at the pre-charge clock — train charges
-    // are per-operator, so per-tuple intermediate clocks no longer exist.
-    for (int64_t i = 0; i < invocations; ++i) {
-      tracer_->Record({obs::EventKind::kOperatorInvocation, now_, scaled,
+    // Traced trains keep one event per invocation (the count contract with
+    // RunCounters), timestamped at the pre-charge clock — train charges are
+    // per-operator, so per-tuple intermediate clocks no longer exist.
+    for (const uint32_t idx : train_sel_) {
+      tracer_->Record({obs::EventKind::kOperatorInvocation, now_,
+                       drifting_ ? cost * train_scale_[idx].first : cost,
                        cur_unit_, cur_query_});
     }
   }
-  const SimTime total = scaled * static_cast<double>(invocations);
+  const SimTime total = cost * factors;
   now_ += total;
   counters_.busy_time += total;
-  counters_.operator_invocations += invocations;
+  counters_.operator_invocations += static_cast<int64_t>(train_sel_.size());
   if (stats_monitor_ != nullptr) stats_monitor_->AddBusyTime(total);
+}
+
+void Engine::SetDriftFactors(query::QueryId q, SimTime arrival_time) {
+  charge_scale_ = config_.drift.CostFactorAt(q, arrival_time);
+  sel_scale_ = config_.drift.SelectivityFactorAt(q, arrival_time);
 }
 
 void Engine::DropTuple(query::QueryId q, int64_t arrival) {
@@ -402,28 +430,6 @@ void Engine::AttributeEmission(int64_t arrival, SimTime arrival_time,
   }
 }
 
-bool Engine::Passes(const query::OperatorSpec& op,
-                    const stream::Arrival& arrival,
-                    const query::CompiledQuery& q, int op_ordinal) const {
-  // Execution uses the operator's *actual* selectivity; the priorities were
-  // computed from the assumed one (they differ under statistics drift).
-  // sel_scale_ is exactly 1.0 outside a drift run (bit-inert multiply); in
-  // one it scales both realizations deterministically — the correlated
-  // threshold moves, and the frozen-Bernoulli draw compares the same frozen
-  // uniform against the scaled probability.
-  const double selectivity = op.EffectiveActualSelectivity() * sel_scale_;
-  if (selectivity >= 1.0) return true;
-  if (q.selectivity_mode() == query::SelectivityMode::kCorrelatedAttribute) {
-    // The paper's testbed realizes selectivity s as a predicate
-    // "attribute <= s·100" over the synthetic uniform (0,100] attribute.
-    return arrival.attribute <= selectivity * 100.0;
-  }
-  const uint64_t key =
-      MixKeys(kFilterSalt, static_cast<uint64_t>(arrival.id),
-              static_cast<uint64_t>(q.id()), static_cast<uint64_t>(op_ordinal));
-  return FrozenBernoulli(key, selectivity);
-}
-
 bool Engine::SharedOpPasses(const query::OperatorSpec& op,
                             const stream::Arrival& arrival, int group) const {
   const double selectivity = op.EffectiveActualSelectivity();
@@ -445,25 +451,17 @@ bool Engine::SharedOpPasses(const query::OperatorSpec& op,
 
 bool Engine::RunChainOps(query::QueryId q, const stream::Arrival& arrival,
                          int from) {
-  // Passes() over the flat table, operator by operator: the same charges,
-  // the same comparisons (sel_scale_ is exactly 1.0 outside a drift run),
-  // the same frozen-draw keys.
+  // Operator by operator over the flat table. Execution uses the operator's
+  // *actual* selectivity; the priorities were computed from the assumed one
+  // (they differ under statistics drift). sel_scale_ is exactly 1.0 outside
+  // a drift run, so the multiply is bit-inert.
   const ChainPlan& chain = chains_[static_cast<size_t>(q)];
   const KernelOp* ops = chain_ops_.data() + chain.begin;
   for (int x = from; x < chain.n_ops; ++x) {
     const KernelOp& op = ops[x];
     Charge(op.cost);
-    const double selectivity = op.selectivity * sel_scale_;
-    if (selectivity >= 1.0) continue;
-    const bool passes =
-        chain.correlated
-            ? arrival.attribute <= selectivity * 100.0
-            : FrozenBernoulli(MixKeys(kFilterSalt,
-                                      static_cast<uint64_t>(arrival.id),
-                                      static_cast<uint64_t>(q),
-                                      static_cast<uint64_t>(x)),
-                              selectivity);
-    if (!passes) {
+    if (!FilterPasses(op.selectivity * sel_scale_, chain.correlated, arrival,
+                      q, x)) {
       DropTuple(q, arrival.id);
       return false;
     }
@@ -475,8 +473,8 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
                         stream::ArrivalId arrival, SimTime arrival_time) {
   const SimTime response = now_ - arrival_time;
   // Under cost drift the tuple's true ideal time scales with its charges
-  // (charge_scale_ is this dispatch's factor, a pure function of the tuple's
-  // query and arrival time), so the reported slowdown stays honest stretch —
+  // (charge_scale_ is the tuple's factor, a pure function of its query and
+  // arrival time), so the reported slowdown stays honest stretch —
   // measuring against the stale static ideal would reward policies for
   // ignoring the drift. Exactly 1.0 (bit-inert) outside a drift run.
   const double slowdown = response / (q.ideal_time() * charge_scale_);
@@ -500,24 +498,6 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
     collector_->RecordOutput(q.id(), q.spec().cost_class,
                              q.spec().class_selectivity, arrival_time,
                              response, slowdown);
-  }
-}
-
-void Engine::ExecuteQueryChain(const sched::Unit& unit,
-                               const sched::QueueEntry& entry) {
-  const stream::Arrival& arrival =
-      arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(unit.query, arrival, /*from=*/0)) {
-    EmitSingle(plan_->query(unit.query), arrival.id, entry.arrival_time);
-  }
-}
-
-void Engine::ExecuteRemainder(const sched::Unit& unit,
-                              const sched::QueueEntry& entry) {
-  const stream::Arrival& arrival =
-      arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-  if (RunChainOps(unit.query, arrival, unit.op_index)) {
-    EmitSingle(plan_->query(unit.query), arrival.id, entry.arrival_time);
   }
 }
 
@@ -556,7 +536,10 @@ void Engine::ExecuteOperator(const sched::Unit& unit,
   const query::OperatorSpec& op =
       q.spec().left_ops[static_cast<size_t>(unit.op_index)];
   Charge(op.cost());
-  if (!Passes(op, arrival, q, unit.op_index)) {
+  if (!FilterPasses(op.EffectiveActualSelectivity() * sel_scale_,
+                    q.selectivity_mode() ==
+                        query::SelectivityMode::kCorrelatedAttribute,
+                    arrival, q.id(), unit.op_index)) {
     DropTuple(q.id(), arrival.id);
     return;
   }
@@ -707,12 +690,15 @@ void Engine::ExecuteJoinInput(const sched::Unit& unit,
     return q.spec().extra_stages[static_cast<size_t>(input - 2)].side_ops;
   }();
   const int ordinal_base = input * kSideOrdinalStride;
+  const bool correlated =
+      q.selectivity_mode() == query::SelectivityMode::kCorrelatedAttribute;
 
   // Pre-join segment.
   for (int x = 0; x < static_cast<int>(side_ops.size()); ++x) {
     const query::OperatorSpec& op = side_ops[static_cast<size_t>(x)];
     Charge(op.cost());
-    if (!Passes(op, arrival, q, ordinal_base + x)) {
+    if (!FilterPasses(op.EffectiveActualSelectivity() * sel_scale_,
+                      correlated, arrival, q.id(), ordinal_base + x)) {
       DropTuple(q.id(), arrival.id);
       return;
     }
@@ -892,72 +878,6 @@ void Engine::DeliverArrivalsUpTo(SimTime time) {
   }
 }
 
-void Engine::ExecuteUnit(int unit_id) {
-  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
-  AQSIOS_CHECK(unit.has_pending())
-      << "scheduler picked empty unit " << unit_id;
-  const sched::QueueEntry entry = unit.queue.front();
-  unit.queue.pop_front();
-  AccrueQueueOccupancy();
-  --queued_tuples_;
-  scheduler_->OnDequeue(unit_id);
-  ++counters_.unit_executions;
-  if (stats_monitor_ != nullptr) stats_monitor_->OnExecutionStart(unit_id);
-
-  exec_start_ = now_;
-  cur_unit_ = unit_id;
-  cur_query_ = static_cast<int32_t>(unit.query);
-
-  if (drifting_) {
-    // The factors are pure functions of (query, arrival time): every policy
-    // charges the same scaled costs for this tuple no matter when it runs.
-    charge_scale_ = config_.drift.CostFactorAt(unit.query, entry.arrival_time);
-    sel_scale_ =
-        config_.drift.SelectivityFactorAt(unit.query, entry.arrival_time);
-  }
-  const SimTime dispatch_busy0 = counters_.busy_time;
-  const int64_t dispatch_emit0 = counters_.tuples_emitted;
-
-  switch (unit.kind) {
-    case sched::UnitKind::kQueryChain:
-      ExecuteQueryChain(unit, entry);
-      break;
-    case sched::UnitKind::kOperator:
-      ExecuteOperator(unit, entry);
-      break;
-    case sched::UnitKind::kSharedGroup:
-      ExecuteSharedGroup(unit, entry);
-      break;
-    case sched::UnitKind::kRemainder:
-      ExecuteRemainder(unit, entry);
-      break;
-    case sched::UnitKind::kJoinSideLeft:
-      ExecuteJoinInput(unit, entry, 0);
-      break;
-    case sched::UnitKind::kJoinSideRight:
-      ExecuteJoinInput(unit, entry, 1);
-      break;
-    case sched::UnitKind::kJoinInput:
-      ExecuteJoinInput(unit, entry, unit.op_index);
-      break;
-  }
-
-  if (calibrator_ != nullptr) {
-    calibrator_->OnDispatch(unit_id, /*tuples=*/1,
-                            counters_.busy_time - dispatch_busy0,
-                            counters_.tuples_emitted - dispatch_emit0);
-  }
-  exec_busy_hist_.Add(now_ - exec_start_);
-  if (tracer_ != nullptr) {
-    tracer_->Record(
-        {obs::EventKind::kSegmentRun, exec_start_, now_ - exec_start_,
-         unit_id, static_cast<int32_t>(unit.query),
-         arrivals_->arrivals[static_cast<size_t>(entry.arrival)].id});
-  }
-  cur_unit_ = -1;
-  cur_query_ = -1;
-}
-
 size_t Engine::TrainLength(const sched::Unit& unit) const {
   size_t limit = config_.batch_size <= 0
                      ? unit.queue.size()
@@ -976,18 +896,54 @@ size_t Engine::TrainLength(const sched::Unit& unit) const {
   return std::min(limit, unit.queue.size());
 }
 
-void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
+inline void Engine::ExecuteChainTrain(const sched::Unit& unit,
+                                      const sched::QueueEntry* train,
+                                      size_t count) {
+  if (count > 1) {
+    ExecuteChainPass(unit, train, count);
+    return;
+  }
+  if (drifting_) SetDriftFactors(unit.query, train->arrival_time);
+  const stream::Arrival& arrival =
+      arrivals_->arrivals[static_cast<size_t>(train->arrival)];
+  if (RunChainOps(unit.query, arrival,
+                  unit.kind == sched::UnitKind::kRemainder ? unit.op_index
+                                                           : 0)) {
+    EmitSingle(plan_->query(unit.query), arrival.id, train->arrival_time);
+  }
+}
+
+void Engine::ExecuteChainPass(const sched::Unit& unit,
+                              const sched::QueueEntry* train, size_t count) {
   const query::CompiledQuery& q = plan_->query(unit.query);
-  const ChainPlan& chain = chains_[static_cast<size_t>(unit.query)];
-  const KernelOp* ops = chain_ops_.data() + chain.begin;
   const int from =
       unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
+  if (drifting_) {
+    train_scale_.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      train_scale_[i] = {
+          config_.drift.CostFactorAt(unit.query, train[i].arrival_time),
+          config_.drift.SelectivityFactorAt(unit.query,
+                                            train[i].arrival_time)};
+    }
+  }
+  // Sets the drift factors of lane `idx` before its own charge, filter or
+  // emission.
+  const auto enter_lane = [this](uint32_t idx) {
+    if (drifting_) {
+      charge_scale_ = train_scale_[idx].first;
+      sel_scale_ = train_scale_[idx].second;
+    }
+  };
+  const ChainPlan& chain = chains_[static_cast<size_t>(unit.query)];
+  const KernelOp* ops = chain_ops_.data() + chain.begin;
   const int n_ops = chain.n_ops;
   if (from >= n_ops) {
-    for (size_t i = 0; i < count; ++i) {
+    for (uint32_t i = 0; i < static_cast<uint32_t>(count); ++i) {
+      enter_lane(i);
       EmitSingle(
-          q, arrivals_->arrivals[static_cast<size_t>(train_[i].arrival)].id,
-          train_[i].arrival_time);
+          q, arrivals_->arrivals[static_cast<size_t>(train[i].arrival)].id,
+          train[i].arrival_time);
     }
     return;
   }
@@ -995,42 +951,25 @@ void Engine::ExecuteChainTrain(const sched::Unit& unit, size_t count) {
   for (uint32_t i = 0; i < static_cast<uint32_t>(count); ++i) {
     train_sel_.push_back(i);
   }
-  // The predicate is a manually inlined Passes() and must stay in lockstep
-  // with it — same comparisons, same MixKeys key. (Trains never drift, so
-  // no sel_scale_ factor applies.)
-  const uint64_t query_key = static_cast<uint64_t>(q.id());
   // Operator-at-a-time over the surviving run: evaluate each chain operator
   // against every survivor before moving to the next operator, compacting
   // the selection vector in place. Non-root operators charge the clock in
   // bulk (ChargeBulk — one per-operator advance for the whole train); the
   // last operator charges and emits per survivor so each tuple departs with
-  // its own virtual timestamp (monotone within the train). At count == 1
-  // the charge/emit sequence is exactly the per-tuple RunChainOps +
-  // EmitSingle sequence (ChargeBulk of one is Charge).
+  // its own virtual timestamp (monotone within the train).
   for (int x = from; x < n_ops && !train_sel_.empty(); ++x) {
     const KernelOp& op = ops[x];
-    const bool pass_all = op.selectivity >= 1.0;
-    const double threshold = op.selectivity * 100.0;
-    const uint64_t ordinal = static_cast<uint64_t>(x);
     const bool last = x + 1 == n_ops;
-    if (!last) {
-      ChargeBulk(op.cost, static_cast<int64_t>(train_sel_.size()));
-    }
+    if (!last) ChargeBulk(op.cost);
     size_t kept = 0;
     for (const uint32_t idx : train_sel_) {
-      const sched::QueueEntry& entry = train_[idx];
+      const sched::QueueEntry& entry = train[idx];
       const stream::Arrival& arrival =
           arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
+      enter_lane(idx);
       if (last) Charge(op.cost);
-      const bool passes =
-          pass_all ||
-          (chain.correlated
-               ? arrival.attribute <= threshold
-               : FrozenBernoulli(
-                     MixKeys(kFilterSalt, static_cast<uint64_t>(arrival.id),
-                             query_key, ordinal),
-                     op.selectivity));
-      if (!passes) {
+      if (!FilterPasses(op.selectivity * sel_scale_, chain.correlated,
+                        arrival, unit.query, x)) {
         DropTuple(q.id(), arrival.id);
         continue;
       }
@@ -1262,22 +1201,11 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
   }
 }
 
-void Engine::ExecuteUnitTrain(int unit_id) {
-  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
-  AQSIOS_CHECK(unit.has_pending())
-      << "scheduler picked empty unit " << unit_id;
-  const size_t count = TrainLength(unit);
-  // A stateful operator inside a chain segment would leave a gap no kernel
-  // covers; such units (none in validated plans) stay scalar.
-  const bool columnar =
-      columnar_ &&
-      (unit.kind == sched::UnitKind::kQueryChain ||
-       unit.kind == sched::UnitKind::kRemainder) &&
-      built_.chain_fusion[static_cast<size_t>(unit_id)].contiguous;
+void Engine::DrainTrain(sched::Unit& unit, size_t count, bool columnar) {
   if (columnar) {
     // Gather: one pass converting the drained AoS queue entries into the
-    // SoA columns the kernels scan. The train_ scratch stays untouched —
-    // everything the chain pass needs lives in the columns.
+    // SoA columns the kernels scan. Everything the chain pass needs lives
+    // in the columns.
     EnsureColumnCapacity(count);
     for (size_t i = 0; i < count; ++i) {
       const sched::QueueEntry entry = unit.queue.front();
@@ -1288,25 +1216,56 @@ void Engine::ExecuteUnitTrain(int unit_id) {
       col_arrival_time_[i] = entry.arrival_time;
       unit.queue.pop_front();
     }
+    return;
+  }
+  train_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    train_.push_back(unit.queue.front());
+    unit.queue.pop_front();
+  }
+}
+
+void Engine::ExecuteUnitTrain(int unit_id) {
+  sched::Unit& unit = built_.units[static_cast<size_t>(unit_id)];
+  AQSIOS_CHECK(unit.has_pending())
+      << "scheduler picked empty unit " << unit_id;
+  const size_t count = batching_ ? TrainLength(unit) : 1;
+  // A stateful operator inside a chain segment would leave a gap no kernel
+  // covers; such units (none in validated plans) stay scalar.
+  const bool columnar =
+      columnar_ &&
+      (unit.kind == sched::UnitKind::kQueryChain ||
+       unit.kind == sched::UnitKind::kRemainder) &&
+      built_.chain_fusion[static_cast<size_t>(unit_id)].contiguous;
+  // The head entry, by value: a train of one needs no other storage, and
+  // the segment-run event names it whatever the train's length.
+  const sched::QueueEntry head = unit.queue.front();
+  const sched::QueueEntry* train = &head;
+  if (count == 1 && !columnar) {
+    unit.queue.pop_front();
   } else {
-    train_.clear();
-    for (size_t i = 0; i < count; ++i) {
-      train_.push_back(unit.queue.front());
-      unit.queue.pop_front();
-    }
+    DrainTrain(unit, count, columnar);
+    train = train_.data();  // the columnar pass reads the columns instead
   }
   AccrueQueueOccupancy();
   queued_tuples_ -= static_cast<int64_t>(count);
-  // One scheduler reconciliation for the whole train (the amortized re-key).
-  scheduler_->OnBatchDequeue(unit_id, static_cast<int>(count));
+  // One scheduler reconciliation for the whole train (the amortized re-key);
+  // a train of one is a plain dequeue.
+  if (count == 1) {
+    scheduler_->OnDequeue(unit_id);
+  } else {
+    scheduler_->OnBatchDequeue(unit_id, static_cast<int>(count));
+  }
   counters_.unit_executions += static_cast<int64_t>(count);
-  ++counters_.train_dispatches;
-  counters_.train_tuples += static_cast<int64_t>(count);
-  counters_.max_train_tuples = std::max(counters_.max_train_tuples,
-                                        static_cast<int64_t>(count));
+  if (batching_) {
+    ++counters_.train_dispatches;
+    counters_.train_tuples += static_cast<int64_t>(count);
+    counters_.max_train_tuples = std::max(counters_.max_train_tuples,
+                                          static_cast<int64_t>(count));
+  }
   if (stats_monitor_ != nullptr) {
     // Each train tuple is one execution of the unit for the selectivity /
-    // cost estimators, exactly as on the per-tuple path.
+    // cost estimators.
     for (size_t i = 0; i < count; ++i) {
       stats_monitor_->OnExecutionStart(unit_id);
     }
@@ -1325,36 +1284,35 @@ void Engine::ExecuteUnitTrain(int unit_id) {
       if (columnar) {
         ExecuteChainTrainColumnar(unit, count);
       } else {
-        ExecuteChainTrain(unit, count);
+        ExecuteChainTrain(unit, train, count);
       }
       break;
     case sched::UnitKind::kOperator:
-      for (size_t i = 0; i < count; ++i) ExecuteOperator(unit, train_[i]);
+      for (size_t i = 0; i < count; ++i) {
+        if (drifting_) SetDriftFactors(unit.query, train[i].arrival_time);
+        ExecuteOperator(unit, train[i]);
+      }
       break;
     case sched::UnitKind::kSharedGroup:
-      for (size_t i = 0; i < count; ++i) ExecuteSharedGroup(unit, train_[i]);
+      for (size_t i = 0; i < count; ++i) ExecuteSharedGroup(unit, train[i]);
       break;
     case sched::UnitKind::kJoinSideLeft:
-      for (size_t i = 0; i < count; ++i) {
-        ExecuteJoinInput(unit, train_[i], 0);
-      }
-      break;
     case sched::UnitKind::kJoinSideRight:
+    case sched::UnitKind::kJoinInput: {
+      const int input =
+          unit.kind == sched::UnitKind::kJoinSideLeft    ? 0
+          : unit.kind == sched::UnitKind::kJoinSideRight ? 1
+                                                         : unit.op_index;
       for (size_t i = 0; i < count; ++i) {
-        ExecuteJoinInput(unit, train_[i], 1);
+        ExecuteJoinInput(unit, train[i], input);
       }
       break;
-    case sched::UnitKind::kJoinInput:
-      for (size_t i = 0; i < count; ++i) {
-        ExecuteJoinInput(unit, train_[i], unit.op_index);
-      }
-      break;
+    }
   }
 
   if (calibrator_ != nullptr) {
     // The whole train is one estimator observation: `count` tuples, their
-    // combined busy time, their root emissions — the same ratios the
-    // per-tuple path accumulates one dispatch at a time.
+    // combined busy time, their root emissions.
     calibrator_->OnDispatch(unit_id, static_cast<int64_t>(count),
                             counters_.busy_time - dispatch_busy0,
                             counters_.tuples_emitted - dispatch_emit0);
@@ -1366,8 +1324,7 @@ void Engine::ExecuteUnitTrain(int unit_id) {
     tracer_->Record(
         {obs::EventKind::kSegmentRun, exec_start_, now_ - exec_start_,
          unit_id, static_cast<int32_t>(unit.query),
-         arrivals_->arrivals[static_cast<size_t>(train_.front().arrival)]
-             .id});
+         arrivals_->arrivals[static_cast<size_t>(head.arrival)].id});
   }
   cur_unit_ = -1;
   cur_query_ = -1;
@@ -1468,11 +1425,7 @@ bool Engine::RunUntil(SimTime barrier) {
       exec_point_overhead_ = overhead;
     }
     const SimTime busy_before = counters_.busy_time;
-    if (batching_) {
-      for (int unit : picked_) ExecuteUnitTrain(unit);
-    } else {
-      for (int unit : picked_) ExecuteUnit(unit);
-    }
+    for (int unit : picked_) ExecuteUnitTrain(unit);
     if (elastic_) {
       group_busy_[static_cast<size_t>(group_of_unit_[static_cast<size_t>(
           picked_.front())])] += counters_.busy_time - busy_before;

@@ -5,9 +5,10 @@
 // stream (a leaf's queue is a range over its stream's arrivals, so one
 // delivery serves every leaf); at each scheduling point the attached
 // Scheduler chooses a unit (or a cluster of units, §6.2.3) and the engine
-// runs the pipelined operator segment on the head tuple, advancing the clock
-// by the operator costs actually incurred. Tuples surviving to a query root
-// are reported to the QosCollector with their response time and slowdown.
+// runs the pipelined operator segment on a train of head tuples (one tuple
+// unless batching is configured), advancing the clock by the operator costs
+// actually incurred. Tuples surviving to a query root are reported to the
+// QosCollector with their response time and slowdown.
 //
 // Scheduling overhead can be charged to the virtual clock (Figures 13–14):
 // each priority computation/comparison reported by the scheduler costs
@@ -95,15 +96,15 @@ struct EngineConfig {
   /// `batch_size` tuples from the picked unit and runs them through the
   /// segment as a train, so priority re-keys and the §9.2 overhead charge
   /// are amortized over the whole batch (Aurora's train scheduling, the
-  /// regime Figure 14 analyzes). 1 = the per-tuple engine (bit-identical
-  /// results, untouched code path); 0 = unbounded (drain the whole queue).
+  /// regime Figure 14 analyzes). 1 = per-tuple dispatch (every train holds
+  /// one tuple); 0 = unbounded (drain the whole queue).
   int batch_size = 1;
 
   /// Optional time-quantum budget: when > 0, a train is additionally capped
   /// at floor(batch_quantum / expected segment cost) tuples (minimum 1).
-  /// Any positive value engages the batched dispatcher even at
-  /// batch_size = 1, which is how the equivalence tests drive the train
-  /// path with per-tuple semantics.
+  /// Any positive value counts as batching even at batch_size = 1: the
+  /// train counters count and the columnar kernels engage, which is how the
+  /// equivalence tests compare trains of one with per-tuple dispatch.
   SimTime batch_quantum = 0.0;
 
   /// Columnar (SoA) kernel execution of batched chain trains: the train's
@@ -115,8 +116,9 @@ struct EngineConfig {
   /// to the scalar selection-vector pass — clock, counters, QoS, frozen
   /// filter draws (pinned by tests/exec_kernel_test.cc) — so the flag only
   /// selects an execution strategy; off measures the scalar engine floor.
-  /// Engages only with the batched dispatcher; traced runs always take the
-  /// scalar pass (they need per-invocation events).
+  /// Engages only when batching is configured; traced and drift runs always
+  /// take the scalar pass (they need per-invocation events, per-lane
+  /// factors).
   bool use_columnar_kernels = true;
 
   /// Source-side load shedding (see ShedConfig above). Off by default.
@@ -136,10 +138,10 @@ struct EngineConfig {
   const stream::StreamRowIndex* stream_rows = nullptr;
 
   /// Mid-run statistics drift of a query subset (stream/drift.h) — the
-  /// scenario calibration exists for. Requires the per-tuple dispatcher
-  /// (trains mix arrival times inside one clock charge), no sharing groups,
-  /// and single-stream queries only (checked). Off by default; off is
-  /// byte-identical (the scale factors are exactly 1.0 and never computed).
+  /// scenario calibration exists for. Composes with trains (each tuple keeps
+  /// its own factors); requires no sharing groups and single-stream queries
+  /// only (checked). Off by default; off is byte-identical (the scale
+  /// factors are exactly 1.0 and never computed).
   stream::DriftConfig drift;
 };
 
@@ -165,9 +167,9 @@ struct RunCounters {
   int64_t decision_candidates = 0;
   int64_t priority_computations = 0;
 
-  /// Batched execution only (all zero on the per-tuple path, and the report
-  /// writer omits them then so default-path JSON is byte-identical):
-  /// dispatches of the train path, tuples they drained, and the largest
+  /// Batching only (all zero unless batch_size != 1 or batch_quantum > 0,
+  /// and the report writer omits them then so default-path JSON is
+  /// byte-identical): dispatches, tuples they drained, and the largest
   /// single train.
   int64_t train_dispatches = 0;
   int64_t train_tuples = 0;
@@ -355,20 +357,26 @@ class Engine {
   /// ownership changes; every leaf is subscribed outside elastic mode).
   void SubscribeLeaf(int unit);
   int64_t UnsubscribeLeaf(int unit);
-  void ExecuteUnit(int unit_id);
 
-  /// Batched path: number of head entries the next train on `unit` drains
-  /// (>= 1; capped by batch_size, the batch_quantum budget, and the queue).
+  /// Batching only (else every train is one entry): number of head entries
+  /// the next train on `unit` drains (>= 1; capped by batch_size, the
+  /// batch_quantum budget, and the queue).
   size_t TrainLength(const sched::Unit& unit) const;
-  /// Batched path counterpart of ExecuteUnit: drains TrainLength entries in
-  /// one dispatch and runs them as a train. Per-tuple semantics (timestamps,
-  /// QoS, filter outcomes) are preserved; only the dispatch is amortized.
+  /// The dispatcher: drains TrainLength entries of the picked unit and runs
+  /// them as a train. Per-tuple semantics (timestamps, QoS, filter outcomes)
+  /// are preserved; only the dispatch is amortized.
   void ExecuteUnitTrain(int unit_id);
-  /// Runs the train through a chain segment (kQueryChain / kRemainder) with
-  /// a selection-vector pass: operator-at-a-time over the surviving run,
+  /// Pops `count` head entries of `unit` into the columns or train_.
+  void DrainTrain(sched::Unit& unit, size_t count, bool columnar);
+  /// Runs `train[0, count)` through a chain segment (kQueryChain /
+  /// kRemainder): one entry as RunChainOps + EmitSingle, more through
+  /// ExecuteChainPass — operator-at-a-time over the surviving run,
   /// compacting survivors in place. Safe because filter outcomes are frozen
   /// per (arrival, query, ordinal) — evaluation order cannot change them.
-  void ExecuteChainTrain(const sched::Unit& unit, size_t count);
+  void ExecuteChainTrain(const sched::Unit& unit,
+                         const sched::QueueEntry* train, size_t count);
+  void ExecuteChainPass(const sched::Unit& unit,
+                        const sched::QueueEntry* train, size_t count);
 
   /// Columnar counterpart of ExecuteChainTrain: runs the gathered column
   /// train through the unit's fused runs (built_.chain_fusion) over the
@@ -386,24 +394,17 @@ class Engine {
   /// Charges processing time to the clock.
   void Charge(SimTime cost);
 
-  /// Charges `invocations` executions of one operator at `cost` each in a
-  /// single bulk step (`now_ += cost * invocations`). Train semantics for
-  /// non-root operators: nothing observes the clock between same-operator
-  /// charges within a train, so the batched paths advance it once per
-  /// operator instead of per tuple — this is what lets the columnar kernels
-  /// replay a fused run in O(ops) instead of O(invocations). At
-  /// invocations == 1 the arithmetic is bit-identical to Charge(cost)
-  /// (cost * 1.0 is exact), which keeps forced trains-of-one byte-equal to
-  /// the per-tuple engine. Both batched paths (scalar train and columnar)
-  /// use this identically, so the flag stays bit-inert.
-  void ChargeBulk(SimTime cost, int64_t invocations);
+  /// Charges one execution of a non-root chain operator at `cost` for every
+  /// lane of the scalar train pass (train_sel_) in one bulk step: `cost *
+  /// lanes`, or `cost * Σ lane factors` under drift. Nothing observes the
+  /// clock between same-operator charges within a train, so the columnar
+  /// kernels replay a fused run with the same multiply-and-add per operator
+  /// (O(ops), not O(invocations)) and their flag stays bit-inert.
+  void ChargeBulk(SimTime cost);
 
-  /// Whether `op` (the op_ordinal-th operator of query q) passes `arrival`.
-  /// Deterministic in (arrival, query, ordinal) so all policies see the same
-  /// filter outcomes. Takes the compiled query the caller already holds to
-  /// keep the per-operator hot path free of plan lookups.
-  bool Passes(const query::OperatorSpec& op, const stream::Arrival& arrival,
-              const query::CompiledQuery& q, int op_ordinal) const;
+  /// Sets charge_scale_ / sel_scale_ to query q's drift factors for a tuple
+  /// that arrived at `arrival_time` (drift runs only).
+  void SetDriftFactors(query::QueryId q, SimTime arrival_time);
 
   /// Whether the shared leaf operator of `group` passes `arrival` (one
   /// outcome for the whole group).
@@ -429,12 +430,8 @@ class Engine {
   void AttributeEmission(int64_t arrival, SimTime arrival_time,
                          SimTime dependency_delay);
 
-  void ExecuteQueryChain(const sched::Unit& unit,
-                         const sched::QueueEntry& entry);
   void ExecuteSharedGroup(const sched::Unit& unit,
                           const sched::QueueEntry& entry);
-  void ExecuteRemainder(const sched::Unit& unit,
-                        const sched::QueueEntry& entry);
   void ExecuteOperator(const sched::Unit& unit,
                        const sched::QueueEntry& entry);
   /// Runs join input `input` (0 = left stream, 1 = right stream of the base
@@ -543,9 +540,9 @@ class Engine {
   bool ran_ = false;
   /// Scratch buffer reused across scheduling points.
   std::vector<int> picked_;
-  /// Batched dispatcher engaged (batch_size != 1 or batch_quantum > 0);
-  /// false keeps the per-tuple path bit-identical to the pre-batching
-  /// engine.
+  /// Batching configured (batch_size != 1 or batch_quantum > 0). False
+  /// makes every train one tuple long, leaves the train counters at zero,
+  /// and keeps the columnar kernels off.
   bool batching_ = false;
   /// Load shedding engaged (config_.shed.enabled); false keeps
   /// DeliverArrivalsUpTo bit-identical to the pre-shedding engine.
@@ -553,16 +550,18 @@ class Engine {
   /// Statistics drift engaged (config_.drift.enabled). When false the scale
   /// factors below stay exactly 1.0 and every multiply is bit-inert.
   bool drifting_ = false;
-  /// Drift factors of the tuple being executed, set per dispatch from the
-  /// (query, arrival time) of the head entry — never from now_, so charges
-  /// stay schedule- and policy-independent.
+  /// Drift factors of the tuple being executed, set per entry (per lane in
+  /// a chain train) from its (query, arrival time) — never from now_, so
+  /// charges stay schedule- and policy-independent.
   double charge_scale_ = 1.0;
   double sel_scale_ = 1.0;
-  /// Train scratch, reused across dispatches: the entries drained by the
-  /// current train, and the selection vector of indexes into it that still
-  /// survive the chain pass.
+  /// Train scratch, reused across dispatches: the entries drained by a
+  /// train of more than one tuple, the selection vector of indexes into it
+  /// that still survive the chain pass, and (drift runs) each entry's
+  /// (cost, selectivity) factors.
   std::vector<sched::QueueEntry> train_;
   std::vector<uint32_t> train_sel_;
+  std::vector<std::pair<double, double>> train_scale_;
 
   /// --- Flat chain op table (per-tuple, scalar-train and columnar paths) ---
   /// Build-time constants of one chain operator, denormalized so the
@@ -620,10 +619,10 @@ class Engine {
   void DepthKernelBernoulli(const uint32_t* sel, size_t n,
                             const KernelOp* ops, int k, uint64_t query_key);
 
-  /// Columnar path engaged: use_columnar_kernels && batched dispatcher &&
-  /// no tracer (the tracer wants per-invocation events in clock order). It
-  /// runs the chain units whose fusion tiles the whole segment
-  /// (built_.chain_fusion contiguous).
+  /// Columnar path engaged: use_columnar_kernels && batching configured &&
+  /// no tracer (the tracer wants per-invocation events in clock order) &&
+  /// no drift (lanes carry their own factors). It runs the chain units
+  /// whose fusion tiles the whole segment (built_.chain_fusion contiguous).
   bool columnar_ = false;
   /// Arena backing the column scratch; reset and re-carved on growth.
   Arena column_arena_;
@@ -670,7 +669,7 @@ class Engine {
   obs::Histogram exec_busy_hist_;
   obs::StageAttribution attribution_;
   /// Unit/query of the execution in progress (trace context for operator
-  /// invocations and join probes); -1 outside ExecuteUnit.
+  /// invocations and join probes); -1 between dispatches.
   int32_t cur_unit_ = -1;
   int32_t cur_query_ = -1;
   /// Clock when the execution in progress began, and the scheduling overhead

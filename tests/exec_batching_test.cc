@@ -1,9 +1,9 @@
 // Tuple-train batching: equivalence and amortization guarantees.
 //
-// The batched dispatcher is only allowed to change *when* decisions happen,
-// never *what* a tuple experiences beyond that:
-//  * with the train path forced at train length 1 (a vanishingly small
-//    batch_quantum), every policy must reproduce the per-tuple engine's
+// Batching is only allowed to change *when* decisions happen, never *what*
+// a tuple experiences beyond that:
+//  * with batching configured but trains capped at length 1 (a vanishingly
+//    small batch_quantum), every policy must reproduce the default run's
 //    results exactly — same emissions, same response moments, same clock;
 //  * the default batch_size=1 must serialize byte-identically to an
 //    explicit batch_size=1 (the committed BENCH_sweep.json stays pinned);
@@ -13,14 +13,21 @@
 //  * schedule-independent single-stream totals (emitted, filtered, busy
 //    time) must be invariant under any batch size;
 //  * under §9.2 overhead charging, batching must actually amortize: fewer
-//    scheduling points, less charged overhead time.
+//    scheduling points, less charged overhead time;
+//  * statistics drift composes with trains: each tuple keeps the factors of
+//    its own (query, arrival time), so trains of one match per-tuple runs
+//    exactly and longer trains keep every tuple's emit/drop outcome.
 
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dsms.h"
 #include "core/report.h"
+#include "obs/tracer.h"
 #include "query/workload.h"
 
 namespace aqsios::core {
@@ -131,6 +138,46 @@ TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesOnWindowJoins) {
   }
 }
 
+// Drift options over the middle of the workload's horizon: a third of the
+// queries ramp to 2.5x cost and 0.6x selectivity.
+SimulationOptions DriftOptions(const query::Workload& workload) {
+  const SimTime span = workload.arrivals.Horizon();
+  SimulationOptions options;
+  options.drift.enabled = true;
+  options.drift.modulo = 3;
+  options.drift.cost_factor = 2.5;
+  options.drift.selectivity_factor = 0.6;
+  options.drift.step_time = 0.3 * span;
+  options.drift.ramp_seconds = 0.2 * span;
+  return options;
+}
+
+TEST_P(BatchingEquivalenceTest, TrainOfOneMatchesPerTupleUnderDrift) {
+  const query::Workload workload = TestWorkload(GetParam());
+  for (const exec::SchedulingLevel level :
+       {exec::SchedulingLevel::kQueryLevel,
+        exec::SchedulingLevel::kOperatorLevel}) {
+    for (const sched::PolicyKind kind :
+         {sched::PolicyKind::kHnr, sched::PolicyKind::kBsd,
+          sched::PolicyKind::kFcfs}) {
+      const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
+      SimulationOptions options = DriftOptions(workload);
+      options.level = level;
+      const RunResult per_tuple = Simulate(workload, policy, options);
+      SimulationOptions forced = options;
+      forced.batch_quantum = 1e-300;
+      const RunResult train = Simulate(workload, policy, forced);
+      EXPECT_EQ(train.counters.max_train_tuples, 1)
+          << sched::PolicyKindName(kind);
+      ExpectSameRun(per_tuple, train,
+                    std::string(sched::PolicyKindName(kind)) + "/drift" +
+                        (level == exec::SchedulingLevel::kQueryLevel
+                             ? ""
+                             : "/op-level"));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchingEquivalenceTest,
                          testing::Values(1u, 7u, 42u));
 
@@ -235,6 +282,95 @@ TEST(BatchingInvariantsTest, ScheduleIndependentTotalsHoldAtAnyBatchSize) {
       EXPECT_GT(r.counters.train_dispatches, 0) << what;
       EXPECT_LT(r.counters.train_dispatches, r.counters.train_tuples)
           << what << ": trains never exceeded one tuple";
+    }
+  }
+}
+
+// (query, arrival id) pairs of one event kind in a trace.
+std::set<std::pair<int32_t, int64_t>> Outcomes(const obs::EventTracer& tracer,
+                                               obs::EventKind kind) {
+  std::set<std::pair<int32_t, int64_t>> out;
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    if (e.kind == kind) out.insert({e.query, e.a});
+  }
+  return out;
+}
+
+// Drift factors are functions of (query, arrival time), and filter outcomes
+// of (arrival, query, operator), so a multi-tuple train under drift emits
+// and drops exactly the tuples the per-tuple run does, and charges the same
+// work up to the order of its floating-point additions.
+TEST(BatchingDriftTest, TrainsKeepEveryTuplesDriftOutcome) {
+  for (const query::SelectivityMode mode :
+       {query::SelectivityMode::kCorrelatedAttribute,
+        query::SelectivityMode::kIndependent}) {
+    query::WorkloadConfig config;
+    config.num_queries = 20;
+    config.num_arrivals = 3000;
+    config.utilization = 0.9;
+    config.seed = 42;
+    config.selectivity_mode = mode;
+    const query::Workload workload = query::GenerateWorkload(config);
+    for (const exec::SchedulingLevel level :
+         {exec::SchedulingLevel::kQueryLevel,
+          exec::SchedulingLevel::kOperatorLevel}) {
+      for (const sched::PolicyKind kind :
+           {sched::PolicyKind::kHnr, sched::PolicyKind::kBsd}) {
+        const sched::PolicyConfig policy = sched::PolicyConfig::Of(kind);
+        const std::string what =
+            std::string(sched::PolicyKindName(kind)) +
+            (mode == query::SelectivityMode::kCorrelatedAttribute
+                 ? "/correlated"
+                 : "/bernoulli") +
+            (level == exec::SchedulingLevel::kQueryLevel ? "" : "/op-level");
+        SimulationOptions base = DriftOptions(workload);
+        base.level = level;
+        SimulationOptions batched = base;
+        batched.batch_size = 8;
+
+        const RunResult one = Simulate(workload, policy, base);
+        const RunResult eight = Simulate(workload, policy, batched);
+        EXPECT_GT(eight.counters.max_train_tuples, 1)
+            << what << ": no multi-tuple train ever formed";
+        EXPECT_EQ(eight.counters.tuples_emitted, one.counters.tuples_emitted)
+            << what;
+        EXPECT_EQ(eight.counters.tuples_filtered, one.counters.tuples_filtered)
+            << what;
+        EXPECT_EQ(eight.counters.operator_invocations,
+                  one.counters.operator_invocations)
+            << what;
+        EXPECT_NEAR(eight.counters.busy_time, one.counters.busy_time,
+                    1e-12 * one.counters.busy_time)
+            << what;
+        // The drift is real: without it the same run filters differently.
+        SimulationOptions undrifted = batched;
+        undrifted.drift.enabled = false;
+        EXPECT_NE(
+            Simulate(workload, policy, undrifted).counters.tuples_filtered,
+            eight.counters.tuples_filtered)
+            << what;
+
+        obs::EventTracer tracer_one(size_t{1} << 20);
+        obs::EventTracer tracer_eight(size_t{1} << 20);
+        base.tracer = &tracer_one;
+        batched.tracer = &tracer_eight;
+        Simulate(workload, policy, base);
+        Simulate(workload, policy, batched);
+        ASSERT_EQ(tracer_one.dropped(), 0) << what;
+        ASSERT_EQ(tracer_eight.dropped(), 0) << what;
+        const auto emitted = Outcomes(tracer_one, obs::EventKind::kEmit);
+        const auto dropped = Outcomes(tracer_one, obs::EventKind::kFilterDrop);
+        EXPECT_EQ(static_cast<int64_t>(emitted.size()),
+                  one.counters.tuples_emitted)
+            << what;
+        EXPECT_EQ(static_cast<int64_t>(dropped.size()),
+                  one.counters.tuples_filtered)
+            << what;
+        EXPECT_EQ(Outcomes(tracer_eight, obs::EventKind::kEmit), emitted)
+            << what;
+        EXPECT_EQ(Outcomes(tracer_eight, obs::EventKind::kFilterDrop), dropped)
+            << what;
+      }
     }
   }
 }

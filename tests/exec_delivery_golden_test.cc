@@ -4,9 +4,10 @@
 // The matrix digests were recorded from the engine that copied every arrival
 // into every leaf queue, and the drift, calibration, adaptation and telemetry
 // cells from the engine that still had a separate per-tuple dispatcher; any
-// delivery or dispatch representation must reproduce them byte for byte. Traced cells additionally pin the per-kind event counts and a digest
-// of the whole event stream (kinds, clocks, payloads, in recording order),
-// and must report the untraced digest (an attached tracer is invisible).
+// delivery or dispatch representation must reproduce them byte for byte.
+// Traced cells additionally pin the per-kind event counts and a digest of
+// the whole event stream (kinds, clocks, payloads, in recording order), and
+// must report the untraced digest (an attached tracer is invisible).
 //
 // A cell missing from Golden() fails and prints its digest; to re-record after
 // an intended result change, run the binary and copy the printed lines.
@@ -358,11 +359,10 @@ TEST(DeliveryGoldenExtraTest, ShardedShedWithAdmission) {
   ExpectGolden("sharded-shed", Digest(run.result));
 }
 
-
-// --- Per-tuple features off the matrix ---------------------------------------
+// --- Features off the matrix -------------------------------------------------
 // Statistics drift, calibration, §10 adaptation and live telemetry each hook
-// the per-tuple dispatch; these cells pin their results on the single-stream
-// shape (drift refuses sharing groups and joins).
+// the dispatcher; these cells pin their results on the single-stream shape
+// at batch 1 (drift refuses sharing groups and joins).
 
 constexpr PolicyCase kFeaturePolicies[] = {
     {"fcfs", sched::PolicyKind::kFcfs},
@@ -385,8 +385,9 @@ core::SimulationOptions DriftOptions() {
 
 TEST(DeliveryGoldenExtraTest, Drift) {
   for (const PolicyCase& p : kFeaturePolicies) {
-    for (exec::SchedulingLevel level : {exec::SchedulingLevel::kQueryLevel,
-                                        exec::SchedulingLevel::kOperatorLevel}) {
+    for (exec::SchedulingLevel level :
+         {exec::SchedulingLevel::kQueryLevel,
+          exec::SchedulingLevel::kOperatorLevel}) {
       core::SimulationOptions options = DriftOptions();
       options.level = level;
       const bool query_level = level == exec::SchedulingLevel::kQueryLevel;
