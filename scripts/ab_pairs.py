@@ -11,9 +11,21 @@ of the benchmark's one-line JSON result it prints the median and the first
 and third quartiles of each side, the change's median relative to the
 parent's, and in how many pairs the change was better ("better" is read from
 BENCHMARK.json next to this script; a metric it does not list counts higher
-as better). Last it prints whether every run reported the same
-`result_digest`, which the determinism contract requires of two builds that
-do not change results.
+as better; ties count for neither side), and a verdict:
+
+  gain        the change won at least 9 in 10 of the pairs and its median
+              is better than the parent's by more than the parent's
+              interquartile distance;
+  worse       the change's median is worse than the parent's by more than
+              the metric's relative `bound` in BENCHMARK.json;
+  unresolved  the parent's own interquartile distance, relative to its
+              median, is wider than the bound, and not every change run
+              beat every parent run;
+  ok          otherwise.
+
+Metrics without a bound are only ever `gain` or `ok`. Last it prints whether
+every run reported the same `result_digest`, which the determinism contract
+requires of two builds that do not change results.
 
 Exits 0 when every run succeeded and every digest matched, 1 otherwise, and
 2 on bad usage.
@@ -21,6 +33,7 @@ Exits 0 when every run succeeded and every digest matched, 1 otherwise, and
 
 import argparse
 import json
+import math
 import pathlib
 import statistics
 import subprocess
@@ -29,15 +42,33 @@ import sys
 BENCHMARK_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def directions():
-    """Metric name -> True when higher is better, from BENCHMARK.json."""
+def metric_specs():
+    """Metric name -> (higher is better, relative bound or None), from
+    BENCHMARK.json."""
     try:
         spec = json.loads(BENCHMARK_JSON.read_text())
     except (OSError, ValueError):
         return {}
-    return {m["name"]: m.get("better") == "higher"
+    return {m["name"]: (m.get("better") == "higher", m.get("bound"))
             for group in ("end_to_end", "per_layer")
             for m in spec.get(group, [])}
+
+
+def verdict(parent, change, wins, up, bound):
+    """The gain / worse / unresolved / ok reading of one metric's pairs."""
+    sign = 1.0 if up else -1.0
+    p1, pm, p3 = quartiles(parent)
+    _, cm, _ = quartiles(change)
+    if wins >= math.ceil(0.9 * len(parent)) and sign * (cm - pm) > p3 - p1:
+        return "gain"
+    if bound is None or pm == 0:
+        return "ok"
+    if sign * (cm - pm) / abs(pm) < -bound:
+        return "worse"
+    every_beats = min(sign * c for c in change) > max(sign * p for p in parent)
+    if (p3 - p1) / abs(pm) > bound and not every_beats:
+        return "unresolved"
+    return "ok"
 
 
 def run_once(binary, args):
@@ -103,26 +134,26 @@ def main():
         print(f"ab_pairs: {error}", file=sys.stderr)
         return 1
 
-    higher = directions()
+    specs = metric_specs()
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
           f"pairs {args.pairs}  seconds {args.seconds}"
           + (f"  scale {args.scale}" if args.scale is not None else ""))
     print(f"{'metric':<28} {'parent q1':>11} {'median':>11} {'q3':>11} "
           f"{'change q1':>11} {'median':>11} {'q3':>11} {'delta':>8} "
-          f"{'wins':>6}")
+          f"{'wins':>6} verdict")
     names = [n for n in runs["parent"][0] if n in runs["change"][0]]
     for name in names:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
-        up = higher.get(name, True)
+        up, bound = specs.get(name, (True, None))
         wins = sum(1 for p, c in zip(parent, change)
                    if (c > p if up else c < p))
         delta = (cm / pm - 1.0) * 100.0 if pm != 0 else 0.0
         print(f"{name:<28} {p1:>11.5g} {pm:>11.5g} {p3:>11.5g} "
               f"{c1:>11.5g} {cm:>11.5g} {c3:>11.5g} {delta:>+7.2f}% "
-              f"{wins:>3}/{args.pairs}")
+              f"{wins:>3}/{args.pairs} {verdict(parent, change, wins, up, bound)}")
     same = len(digests) == 1 and None not in digests
     print("result_digest: " + ("all identical " + next(iter(digests))
                                if same else "DIFFER " + " ".join(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -332,6 +333,8 @@ Engine::Engine(const query::GlobalPlan* plan,
       kop.ordinal = x;
       chain_ops_.push_back(kop);
     }
+    kernel_reach_.resize(
+        std::max(kernel_reach_.size(), static_cast<size_t>(chain.n_ops) + 1));
   }
   // Prefix-min thresholds per fused run of each query's one chain unit (see
   // KernelOp::run_prefix_min).
@@ -996,43 +999,33 @@ void Engine::EnsureColumnCapacity(size_t n) {
   col_arrival_time_ = column_arena_.AllocateSpan<SimTime>(capacity);
   col_depth_ = column_arena_.AllocateSpan<uint32_t>(capacity);
   col_sel_ = column_arena_.AllocateSpan<uint32_t>(capacity);
-  col_sel_next_ = column_arena_.AllocateSpan<uint32_t>(capacity);
   col_capacity_ = capacity;
 }
 
-void Engine::CountReachAttribute(const uint32_t* sel, size_t n,
-                                 const KernelOp* ops, int k) {
-  kernel_reach_.assign(static_cast<size_t>(k) + 1, 0);
-  kernel_reach_[0] = static_cast<int64_t>(n);
-  for (int x = 1; x <= k; ++x) {
+void Engine::CountReachAttribute(size_t n, const KernelOp* ops, int k) {
+  // kernel_reach_ is sized for the longest chain at construction, so every
+  // entry is written rather than cleared first. The prefix min only
+  // tightens, so once no lane survives a prefix the rest are zero.
+  int64_t* reach = kernel_reach_.data();
+  reach[0] = static_cast<int64_t>(n);
+  int x = 1;
+  for (; x <= k && reach[x - 1] > 0; ++x) {
     const double bound = ops[x - 1].run_prefix_min;
     // An unchanged prefix min means an identical comparison over identical
     // lanes: reuse the count. Random threshold sequences change their
     // running min only O(log k) times, so most entries take this path.
     if (x > 1 && bound == ops[x - 2].run_prefix_min) {
-      kernel_reach_[static_cast<size_t>(x)] =
-          kernel_reach_[static_cast<size_t>(x) - 1];
+      reach[x] = reach[x - 1];
       continue;
     }
     int64_t count = 0;
-    if (sel == nullptr) {
-      for (size_t j = 0; j < n; ++j) {
-        count += col_attr_[j] <= bound ? 1 : 0;
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        count += col_attr_[sel[j]] <= bound ? 1 : 0;
-      }
-    }
-    kernel_reach_[static_cast<size_t>(x)] = count;
-    // The prefix min only tightens, so once no lane survives a prefix the
-    // remaining entries stay at the zero assign() left there.
-    if (count == 0) break;
+    for (size_t j = 0; j < n; ++j) count += col_attr_[j] <= bound ? 1 : 0;
+    reach[x] = count;
   }
+  std::fill(reach + x, reach + k + 1, int64_t{0});
 }
 
-void Engine::DepthKernelBernoulli(const uint32_t* sel, size_t n,
-                                  const KernelOp* ops, int k,
+void Engine::DepthKernelBernoulli(size_t n, const KernelOp* ops, int k,
                                   uint64_t query_key) {
   // FrozenUniform draws lie in [0, 1), so a selectivity >= 1 operator needs
   // no special case: the draw is spent but the scalar outcome (pass) is
@@ -1042,19 +1035,17 @@ void Engine::DepthKernelBernoulli(const uint32_t* sel, size_t n,
     const double selectivity = ops[0].selectivity;
     const uint64_t ordinal = static_cast<uint64_t>(ops[0].ordinal);
     for (size_t j = 0; j < n; ++j) {
-      const uint64_t id = static_cast<uint64_t>(
-          col_id_[sel == nullptr ? j : static_cast<size_t>(sel[j])]);
-      const uint64_t key = MixKeys(kFilterSalt, id, query_key, ordinal);
+      const uint64_t key = MixKeys(
+          kFilterSalt, static_cast<uint64_t>(col_id_[j]), query_key, ordinal);
       col_depth_[j] = FrozenUniform(key) < selectivity ? 1u : 0u;
     }
     return;
   }
   for (size_t j = 0; j < n; ++j) {
-    const uint64_t id = static_cast<uint64_t>(
-        col_id_[sel == nullptr ? j : static_cast<size_t>(sel[j])]);
     // MixKeys(a, b, c, d) == MixKeys(MixKeys(a, b, c), d): the
     // (salt, id, query) prefix is loop-invariant across the run's ops.
-    const uint64_t prefix = MixKeys(kFilterSalt, id, query_key);
+    const uint64_t prefix =
+        MixKeys(kFilterSalt, static_cast<uint64_t>(col_id_[j]), query_key);
     uint32_t depth = 0;
     uint32_t alive = 1;
     for (int x = 0; x < k; ++x) {
@@ -1071,7 +1062,6 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
                                        size_t count) {
   const query::CompiledQuery& q = plan_->query(unit.query);
   const ChainPlan& chain = chains_[static_cast<size_t>(unit.query)];
-  const KernelOp* ops = chain_ops_.data() + chain.begin;
   const int from =
       unit.kind == sched::UnitKind::kRemainder ? unit.op_index : 0;
   if (from >= chain.n_ops) {
@@ -1080,149 +1070,121 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
     }
     return;
   }
+  // A contiguous segment is one fused run over ops [from, n_ops)
+  // (FuseChainOps splits runs only at stateful operators). Its predicates
+  // run through the kernels; the root's charges interleave with emissions,
+  // handled below.
+  AQSIOS_DCHECK_EQ(
+      built_.chain_fusion[static_cast<size_t>(unit.id)].runs.size(), 1u);
+  const KernelOp* run_ops = chain_ops_.data() + chain.begin + from;
+  const int k_pred = chain.n_ops - from - 1;
   const uint64_t query_key = static_cast<uint64_t>(q.id());
   const bool track_stats = stats_monitor_ != nullptr;
-  uint32_t* sel = col_sel_;
-  uint32_t* sel_next = col_sel_next_;
-  size_t n = count;
-  // Lanes scan the columns in gathered order until the first compaction
-  // writes a real selection vector.
-  bool dense = true;
-  for (const FusedKernel& run :
-       built_.chain_fusion[static_cast<size_t>(unit.id)].runs) {
-    if (n == 0) break;
-    const KernelOp* run_ops = ops + run.first_op;
-    const int k = run.num_ops;
-    // The run holding the chain's root operator (in a tiled segment: the
-    // last run) keeps the root out of the depth kernel — its charges
-    // interleave with emissions, handled below.
-    const bool rooted = run.first_op + k == chain.n_ops;
-    const int k_pred = rooted ? k - 1 : k;
-
-    if (k_pred > 0) {
-      const uint32_t* lanes = dense ? nullptr : sel;
-      if (chain.correlated) {
-        // Per-operator survivor counts straight off the attribute column.
-        CountReachAttribute(lanes, n, run_ops, k_pred);
-      } else {
-        DepthKernelBernoulli(lanes, n, run_ops, k_pred, query_key);
-        // reach[x] = lanes whose depth reaches local op x (suffix counts of
-        // the depth histogram); reach[0] == n, reach[k_pred] == survivors.
-        kernel_reach_.assign(static_cast<size_t>(k_pred) + 1, 0);
-        for (size_t j = 0; j < n; ++j) {
-          ++kernel_reach_[col_depth_[j]];
-        }
-        for (int x = k_pred - 1; x >= 0; --x) {
-          kernel_reach_[static_cast<size_t>(x)] +=
-              kernel_reach_[static_cast<size_t>(x) + 1];
-        }
-      }
-
-      // Clock replay: the scalar pass bulk-charges operator x once for all
-      // tuples reaching it (ChargeBulk) — reach[x] is that same count, so
-      // one identical multiply-and-add per operator replays the train's
-      // entire clock advance.
-      for (int x = 0; x < k_pred; ++x) {
-        const int64_t reach = kernel_reach_[static_cast<size_t>(x)];
-        if (reach <= 0) continue;
-        const SimTime total =
-            run_ops[x].cost * static_cast<double>(reach);
-        now_ += total;
-        counters_.busy_time += total;
-        counters_.operator_invocations += reach;
-        if (track_stats) stats_monitor_->AddBusyTime(total);
-      }
-      counters_.tuples_filtered +=
-          static_cast<int64_t>(n) - kernel_reach_[static_cast<size_t>(k_pred)];
-
-      // Branch-free survivor compaction into the next selection vector.
-      // Correlated runs survive iff the attribute clears the whole run's
-      // prefix-min bound (one comparison); Bernoulli runs survive iff the
-      // lane's depth covers the run.
-      size_t kept = 0;
-      if (chain.correlated) {
-        const double bound = run_ops[k_pred - 1].run_prefix_min;
-        if (dense) {
-          for (size_t j = 0; j < n; ++j) {
-            sel_next[kept] = static_cast<uint32_t>(j);
-            kept += col_attr_[j] <= bound ? 1 : 0;
-          }
-        } else {
-          for (size_t j = 0; j < n; ++j) {
-            sel_next[kept] = sel[j];
-            kept += col_attr_[sel[j]] <= bound ? 1 : 0;
-          }
-        }
-      } else {
-        const uint32_t full = static_cast<uint32_t>(k_pred);
-        if (dense) {
-          for (size_t j = 0; j < n; ++j) {
-            sel_next[kept] = static_cast<uint32_t>(j);
-            kept += col_depth_[j] == full ? 1 : 0;
-          }
-        } else {
-          for (size_t j = 0; j < n; ++j) {
-            sel_next[kept] = sel[j];
-            kept += col_depth_[j] == full ? 1 : 0;
-          }
-        }
-      }
-      std::swap(sel, sel_next);
-      n = kept;
-      dense = false;
-    }
-
-    if (!rooted) continue;
-
-    // Root operator: one charge then emit-or-drop per surviving lane, in
-    // selection order — the scalar tail sweep replayed exactly, so every
-    // emission sees the same virtual timestamp.
-    const KernelOp& root = run_ops[k - 1];
-    for (size_t j = 0; j < n; ++j) {
-      const uint32_t row = dense ? static_cast<uint32_t>(j) : sel[j];
-      now_ += root.cost;
-      counters_.busy_time += root.cost;
-      ++counters_.operator_invocations;
-      if (track_stats) stats_monitor_->AddBusyTime(root.cost);
-      const bool passes =
-          chain.correlated
-              ? col_attr_[row] <= root.threshold
-              : FrozenUniform(MixKeys(
-                    kFilterSalt, static_cast<uint64_t>(col_id_[row]),
-                    query_key, static_cast<uint64_t>(root.ordinal))) <
-                    root.selectivity;
-      if (passes) {
-        EmitSingle(q, col_id_[row], col_arrival_time_[row]);
-      } else {
-        ++counters_.tuples_filtered;
-      }
-    }
-    return;
+  int64_t* const reach = kernel_reach_.data();
+  if (chain.correlated) {
+    // Per-operator survivor counts straight off the attribute column.
+    CountReachAttribute(count, run_ops, k_pred);
+  } else {
+    DepthKernelBernoulli(count, run_ops, k_pred, query_key);
+    // reach[x] = lanes whose depth reaches local op x (suffix counts of the
+    // depth histogram); reach[0] == count, reach[k_pred] == survivors.
+    std::fill(reach, reach + k_pred + 1, int64_t{0});
+    for (size_t j = 0; j < count; ++j) ++reach[col_depth_[j]];
+    for (int x = k_pred - 1; x >= 0; --x) reach[x] += reach[x + 1];
   }
+  AQSIOS_DCHECK(std::is_sorted(reach, reach + k_pred + 1,
+                               std::greater<int64_t>()))
+      << "reach counts must never increase along a run";
+
+  // Clock replay: the scalar pass bulk-charges operator x once for all
+  // tuples reaching it (ChargeBulk) — reach[x] is that same count, so one
+  // identical multiply-and-add per operator replays the train's clock
+  // advance. The running state stays in locals, in the same add order (a
+  // member store may alias reach[] and force a reload per operator); reach
+  // never grows, so the first zero ends the replay.
+  SimTime now = now_;
+  SimTime busy = counters_.busy_time;
+  int64_t invocations = 0;
+  for (int x = 0; x < k_pred && reach[x] > 0; ++x) {
+    const SimTime total = run_ops[x].cost * static_cast<double>(reach[x]);
+    now += total;
+    busy += total;
+    invocations += reach[x];
+    if (track_stats) stats_monitor_->AddBusyTime(total);
+  }
+
+  // Branch-free survivor compaction into the selection vector: correlated
+  // lanes survive iff the attribute clears the predicates' prefix-min bound
+  // (one comparison), Bernoulli lanes iff their depth covers the predicates.
+  uint32_t* const sel = col_sel_;
+  size_t n = 0;
+  if (chain.correlated) {
+    const double bound = k_pred > 0 ? run_ops[k_pred - 1].run_prefix_min
+                                    : std::numeric_limits<double>::infinity();
+    for (size_t j = 0; j < count; ++j) {
+      sel[n] = static_cast<uint32_t>(j);
+      n += col_attr_[j] <= bound ? 1 : 0;
+    }
+  } else {
+    const uint32_t full = static_cast<uint32_t>(k_pred);
+    for (size_t j = 0; j < count; ++j) {
+      sel[n] = static_cast<uint32_t>(j);
+      n += col_depth_[j] == full ? 1 : 0;
+    }
+  }
+  AQSIOS_DCHECK_EQ(static_cast<int64_t>(n), reach[k_pred]);
+
+  // Root operator: one charge then emit-or-drop per surviving lane, in
+  // selection order — the scalar tail sweep replayed exactly, so every
+  // emission sees the same virtual timestamp (the clock is stored before
+  // each emission, which reads it).
+  const KernelOp& root = run_ops[k_pred];
+  int64_t filtered = static_cast<int64_t>(count - n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t row = sel[j];
+    now += root.cost;
+    busy += root.cost;
+    if (track_stats) stats_monitor_->AddBusyTime(root.cost);
+    const bool passes =
+        chain.correlated
+            ? col_attr_[row] <= root.threshold
+            : FrozenUniform(MixKeys(
+                  kFilterSalt, static_cast<uint64_t>(col_id_[row]),
+                  query_key, static_cast<uint64_t>(root.ordinal))) <
+                  root.selectivity;
+    if (passes) {
+      now_ = now;
+      EmitSingle(q, col_id_[row], col_arrival_time_[row]);
+    } else {
+      ++filtered;
+    }
+  }
+  now_ = now;
+  counters_.busy_time = busy;
+  counters_.operator_invocations += invocations + static_cast<int64_t>(n);
+  counters_.tuples_filtered += filtered;
 }
 
 void Engine::DrainTrain(sched::Unit& unit, size_t count, bool columnar) {
-  if (columnar) {
-    // Gather: one pass converting the drained AoS queue entries into the
-    // SoA columns the kernels scan. Everything the chain pass needs lives
-    // in the columns.
-    EnsureColumnCapacity(count);
-    for (size_t i = 0; i < count; ++i) {
-      const sched::QueueEntry entry = unit.queue.front();
-      const stream::Arrival& arrival =
-          arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
-      col_attr_[i] = arrival.attribute;
-      col_id_[i] = arrival.id;
-      col_arrival_time_[i] = entry.arrival_time;
-      unit.queue.pop_front();
-    }
+  if (!columnar) {
+    train_.clear();
+    unit.queue.PopFront(count, [this](const sched::QueueEntry& entry) {
+      train_.push_back(entry);
+    });
     return;
   }
-  train_.clear();
-  for (size_t i = 0; i < count; ++i) {
-    train_.push_back(unit.queue.front());
-    unit.queue.pop_front();
-  }
+  // Gather: one pass converting the drained queue entries into the SoA
+  // columns the kernels scan. Everything the chain pass needs lives in the
+  // columns.
+  EnsureColumnCapacity(count);
+  size_t i = 0;
+  unit.queue.PopFront(count, [this, &i](const sched::QueueEntry& entry) {
+    const stream::Arrival& arrival =
+        arrivals_->arrivals[static_cast<size_t>(entry.arrival)];
+    col_attr_[i] = arrival.attribute;
+    col_id_[i] = arrival.id;
+    col_arrival_time_[i++] = entry.arrival_time;
+  });
 }
 
 void Engine::ExecuteUnitTrain(int unit_id) {

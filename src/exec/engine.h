@@ -379,9 +379,9 @@ class Engine {
                         const sched::QueueEntry* train, size_t count);
 
   /// Columnar counterpart of ExecuteChainTrain: runs the gathered column
-  /// train through the unit's fused runs (built_.chain_fusion) over the
-  /// query's flat op table (chains_ below). The branch-free predicate
-  /// kernels compute each lane's survived depth; the depths then drive an
+  /// train through the unit's one fused run (a contiguous
+  /// built_.chain_fusion) over the query's flat op table (chains_ below).
+  /// The branch-free predicate kernels compute each lane's survived depth; the depths then drive an
   /// exact replay of the scalar pass's operator-at-a-time clock/counter
   /// sequence (floating-point accumulation is order-sensitive, so the replay
   /// repeats the very same additions — never a multiply) before survivors
@@ -607,17 +607,15 @@ class Engine {
   /// (KernelOp::run_prefix_min), so each entry is a branch-free vectorizable
   /// count over the attribute column — no per-lane depth — and consecutive
   /// ops whose prefix min did not change reuse the previous count outright.
-  /// `sel` maps lanes to column rows; nullptr = identity (the dense
-  /// first-run fast path, gather-free for the auto-vectorizer).
-  void CountReachAttribute(const uint32_t* sel, size_t n,
-                           const KernelOp* ops, int k);
+  /// Lanes are the columns' first n rows, so the count needs no gather.
+  void CountReachAttribute(size_t n, const KernelOp* ops, int k);
   /// Branch-free frozen-Bernoulli depth kernel: fills col_depth_[0..n) with
   /// each lane's survived depth over a run of `k` operators (consecutive
   /// passes from the run's start; alive &= pass, depth += alive — no
   /// per-lane branch). Draw outcomes are per (op, tuple), so unlike the
   /// correlated kernel a per-lane pass is irreducible.
-  void DepthKernelBernoulli(const uint32_t* sel, size_t n,
-                            const KernelOp* ops, int k, uint64_t query_key);
+  void DepthKernelBernoulli(size_t n, const KernelOp* ops, int k,
+                            uint64_t query_key);
 
   /// Columnar path engaged: use_columnar_kernels && batching configured &&
   /// no tracer (the tracer wants per-invocation events in clock order) &&
@@ -629,16 +627,16 @@ class Engine {
   /// SoA columns of the current train, gathered from the drained queue
   /// entries: synthetic attribute, global arrival id (frozen-draw key and
   /// trace/QoS identity), arrival time. col_depth_ is the kernels' survived
-  /// depth output; col_sel_/col_sel_next_ the selection vectors survivor
-  /// compaction ping-pongs between. All col_capacity_ elements long.
+  /// depth output; col_sel_ the survivors' rows, in order. All
+  /// col_capacity_ elements long.
   double* col_attr_ = nullptr;
   stream::ArrivalId* col_id_ = nullptr;
   SimTime* col_arrival_time_ = nullptr;
   uint32_t* col_depth_ = nullptr;
   uint32_t* col_sel_ = nullptr;
-  uint32_t* col_sel_next_ = nullptr;
   size_t col_capacity_ = 0;
-  /// Clock-replay scratch: reach[x] = lanes whose depth reaches local op x.
+  /// Clock-replay scratch: reach[x] = lanes whose depth reaches local op x;
+  /// sized for the longest chain at construction.
   std::vector<int64_t> kernel_reach_;
   /// Join-probe candidate buffers, one per recursion depth of
   /// ProbeAndPropagate (a probe at stage s iterates its buffer while deeper

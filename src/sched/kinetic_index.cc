@@ -85,7 +85,9 @@ void KineticIndex::BuildTree(int capacity) {
   capacity_ = capacity;
   dense_pos_.resize(leaves, -1);
   for (size_t node = leaves - 1; node >= 1; --node) {
-    RecomputeNode(node, last_time_);
+    mode_ == EvalMode::kRatio
+        ? RecomputeNode<EvalMode::kRatio>(node, last_time_)
+        : RecomputeNode<EvalMode::kScaled>(node, last_time_);
   }
 }
 
@@ -132,7 +134,8 @@ void KineticIndex::Insert(int id, double anchor, double coef,
   if (leaf.id < 0) ++size_;
   leaf = Line{anchor, coef, mode_ == EvalMode::kRatio ? 1.0 / coef : coef,
               tie_key, id};
-  ReplayPath(node);
+  mode_ == EvalMode::kRatio ? ReplayPath<EvalMode::kRatio>(node)
+                            : ReplayPath<EvalMode::kScaled>(node);
 }
 
 void KineticIndex::Erase(int id) {
@@ -163,65 +166,81 @@ void KineticIndex::Erase(int id) {
     ClearSubtree(1);
     dense_ = true;
   } else {
-    ReplayPath(node);
+    mode_ == EvalMode::kRatio ? ReplayPath<EvalMode::kRatio>(node)
+                              : ReplayPath<EvalMode::kScaled>(node);
   }
 }
 
+// Inlined into every walk, so each keeps its operands in registers.
+template <KineticIndex::EvalMode kMode>
+[[gnu::always_inline]] inline const KineticIndex::Line& KineticIndex::Match(
+    const Line& l, const Line& r, double t, double* match_exp) {
+  *match_exp = kNever;
+  if (l.id < 0 || r.id < 0) return l.id < 0 ? r : l;
+  const double pl = Eval<kMode>(l, t);
+  const double pr = Eval<kMode>(r, t);
+  bool left_wins;
+  if (pl != pr) {
+    left_wins = pl > pr;
+  } else if (l.tie != r.tie) {
+    left_wins = l.tie < r.tie;
+  } else {
+    left_wins = l.id < r.id;
+  }
+  const Line& winner = left_wins ? l : r;
+  const Line& lo = left_wins ? r : l;
+  if (lo.slope > winner.slope) {
+    // The losing line is steeper: it overtakes at the algebraic crossover
+    // tc. Re-check a relative margin early; never certify past-the-present
+    // validity (a certificate at `t` means "re-check on the next query").
+    const double tc = (lo.slope * lo.anchor - winner.slope * winner.anchor) /
+                      (lo.slope - winner.slope);
+    const double cert = tc - 1e-9 * std::max(1.0, std::abs(tc));
+    *match_exp = cert > t ? cert : t;
+  }
+  return winner;
+}
+
+template <KineticIndex::EvalMode kMode>
 void KineticIndex::RecomputeNode(size_t node, double t) {
   ++node_recomputes_;
-  Node& n = nodes_[node];
-  const Line& l = nodes_[node << 1].line;
-  const Line& r = nodes_[(node << 1) | 1].line;
-  double match_exp = kNever;
-  const Line* winner;
-  if (l.id < 0 || r.id < 0) {
-    winner = l.id < 0 ? &r : &l;
-  } else {
-    const double pl = Eval(l, t);
-    const double pr = Eval(r, t);
-    bool left_wins;
-    if (pl != pr) {
-      left_wins = pl > pr;
-    } else if (l.tie != r.tie) {
-      left_wins = l.tie < r.tie;
-    } else {
-      left_wins = l.id < r.id;
-    }
-    winner = left_wins ? &l : &r;
-    const Line& lo = left_wins ? r : l;
-    if (lo.slope > winner->slope) {
-      // The losing line is steeper: it overtakes at the algebraic crossover
-      // tc. Re-check a relative margin early; never certify past-the-present
-      // validity (a certificate at `t` means "re-check on the next query").
-      const double tc =
-          (lo.slope * lo.anchor - winner->slope * winner->anchor) /
-          (lo.slope - winner->slope);
-      const double cert = tc - 1e-9 * std::max(1.0, std::abs(tc));
-      match_exp = cert > t ? cert : t;
-    }
-  }
-  n.line = *winner;
-  n.match_exp = match_exp;
-  n.subtree_exp =
-      std::min(match_exp, std::min(nodes_[node << 1].subtree_exp,
-                                   nodes_[(node << 1) | 1].subtree_exp));
+  const Node& l = nodes_[node << 1];
+  const Node& r = nodes_[(node << 1) | 1];
+  double match_exp;
+  const Line winner = Match<kMode>(l.line, r.line, t, &match_exp);
+  const double subtree_exp =
+      std::min(match_exp, std::min(l.subtree_exp, r.subtree_exp));
+  nodes_[node] = Node{winner, match_exp, subtree_exp};
 }
 
+template <KineticIndex::EvalMode kMode>
 void KineticIndex::ReplayPath(size_t leaf) {
-  for (size_t node = leaf >> 1; node >= 1; node >>= 1) {
-    RecomputeNode(node, last_time_);
+  Line line = nodes_[leaf].line;
+  double exp = kNever;  // a leaf's subtree expiry
+  for (size_t node = leaf; node > 1; node >>= 1) {
+    ++node_recomputes_;
+    // The climbing line keeps its side: an even node is a left child.
+    const Node& sibling = nodes_[node ^ 1];
+    const bool left = (node & 1) == 0;
+    double match_exp;
+    line = left ? Match<kMode>(line, sibling.line, last_time_, &match_exp)
+                : Match<kMode>(sibling.line, line, last_time_, &match_exp);
+    exp = left ? std::min(match_exp, std::min(exp, sibling.subtree_exp))
+               : std::min(match_exp, std::min(sibling.subtree_exp, exp));
+    nodes_[node >> 1] = Node{line, match_exp, exp};
   }
 }
 
+template <KineticIndex::EvalMode kMode>
 bool KineticIndex::RefreshNode(size_t node, double now) {
   // Leaves never expire, so only internal children are ever entered. Every
   // mutation has already been replayed, so a child whose winner id is
   // unchanged also has an unchanged line.
   const size_t l = node << 1;
   bool child_changed = false;
-  if (nodes_[l].subtree_exp <= now) child_changed = RefreshNode(l, now);
+  if (nodes_[l].subtree_exp <= now) child_changed = RefreshNode<kMode>(l, now);
   if (nodes_[l | 1].subtree_exp <= now) {
-    child_changed = RefreshNode(l | 1, now) || child_changed;
+    child_changed = RefreshNode<kMode>(l | 1, now) || child_changed;
   }
   Node& n = nodes_[node];
   if (!child_changed && n.match_exp > now) {
@@ -231,7 +250,7 @@ bool KineticIndex::RefreshNode(size_t node, double now) {
     return false;
   }
   const int old_winner = n.line.id;
-  RecomputeNode(node, now);
+  RecomputeNode<kMode>(node, now);
   return n.line.id != old_winner;
 }
 
@@ -269,9 +288,16 @@ int KineticIndex::ArgMax(SimTime now, double* priority) {
   if (size_ == 0) return -1;
   last_time_ = now;
   if (dense_) return DenseArgMax(now, priority);
-  if (nodes_[1].subtree_exp <= now) RefreshNode(1, now);
+  const bool ratio = mode_ == EvalMode::kRatio;
+  if (nodes_[1].subtree_exp <= now) {
+    ratio ? RefreshNode<EvalMode::kRatio>(1, now)
+          : RefreshNode<EvalMode::kScaled>(1, now);
+  }
   const Line& winner = nodes_[1].line;
-  if (priority != nullptr) *priority = Eval(winner, now);
+  if (priority != nullptr) {
+    *priority = ratio ? Eval<EvalMode::kRatio>(winner, now)
+                      : Eval<EvalMode::kScaled>(winner, now);
+  }
   return winner.id;
 }
 

@@ -171,21 +171,33 @@ class KineticIndex {
   };
   static constexpr double kNever = std::numeric_limits<double>::infinity();
 
-  double Eval(const Line& line, double t) const {
-    return mode_ == EvalMode::kRatio ? (t - line.anchor) / line.coef
+  template <EvalMode kMode>
+  static double Eval(const Line& line, double t) {
+    return kMode == EvalMode::kRatio ? (t - line.anchor) / line.coef
                                      : line.coef * (t - line.anchor);
   }
 
+  /// Decides the match of left child `l` against `r` at time `t`: returns
+  /// the winner and stores the certificate in *match_exp. Every tree walk
+  /// uses it, instantiated per mode so no walk branches on mode_.
+  template <EvalMode kMode>
+  static const Line& Match(const Line& l, const Line& r, double t,
+                           double* match_exp);
+
   /// Re-decides internal node `node`'s match from its children at time `t`:
   /// winner line, match certificate and subtree expiry.
+  template <EvalMode kMode>
   void RecomputeNode(size_t node, double t);
 
-  /// Replays the matches on the path above leaf node `leaf` at last_time_.
+  /// Replays the matches on the path above leaf node `leaf` at last_time_;
+  /// the climbing winner stays in registers, each level loads its sibling.
+  template <EvalMode kMode>
   void ReplayPath(size_t leaf);
 
   /// Re-decides every expired match under internal node `node` (whose
   /// subtree expiry has passed) and returns whether its winner changed.
   /// Recurses only into expired children.
+  template <EvalMode kMode>
   bool RefreshNode(size_t node, double now);
 
   /// Lays the live lines out as the leaves of a `capacity`-leaf tree (from

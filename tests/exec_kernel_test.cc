@@ -10,6 +10,8 @@
 // boundary that validated plans can never produce (window joins are barred
 // from chains by CompiledQuery validation) but the pass must still handle.
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -170,6 +172,84 @@ TEST_P(KernelEquivalenceTest, ByteEqualAtOperatorLevel) {
   options.batch_size = 32;
   ExpectColumnarMatchesScalar(workload, sched::PolicyKind::kBsd, options,
                               "bsd/operator-level");
+}
+
+/// TestWorkload's arrivals under 20 queries of kEarlyExitOps selects each.
+/// In the even queries operator kBlockAt passes nothing: its correlated
+/// bound (selectivity * 100) lies below every attribute, and its Bernoulli
+/// selectivity is cleared only by an exact-zero draw. So a train's reach
+/// counts fall to zero partway through the fused run, and the clock replay
+/// stops there.
+constexpr int kEarlyExitOps = 6;
+constexpr int kBlockAt = 3;
+constexpr double kBlockSelectivity = 1e-12;
+
+query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
+  query::Workload workload = TestWorkload(seed, mode);
+  const auto plan = [mode](double cost_scale) {
+    std::vector<query::CompiledQuery> queries;
+    for (int qi = 0; qi < 20; ++qi) {
+      query::QuerySpec spec;
+      spec.id = qi;
+      spec.left_stream = 0;
+      spec.cost_class = qi % 4;
+      const double cost_ms = cost_scale * static_cast<double>(1 << (qi % 4));
+      for (int x = 0; x < kEarlyExitOps; ++x) {
+        const double selectivity = qi % 2 == 0 && x == kBlockAt
+                                       ? kBlockSelectivity
+                                       : 0.95 - 0.1 * static_cast<double>(x);
+        spec.left_ops.push_back(query::MakeSelect(cost_ms, selectivity));
+      }
+      queries.emplace_back(std::move(spec), mode);
+    }
+    return query::GlobalPlan(std::move(queries), {}, /*num_streams=*/1);
+  };
+  const double tau = workload.arrivals.MeanInterArrival(0);
+  workload.plan = plan(0.9 * tau / plan(1.0).ExpectedWorkPerArrival(0));
+  return workload;
+}
+
+// Trains that a prefix empties before the root: the reach counts hit zero
+// partway, the replay's early exit must charge exactly what the scalar
+// pass charges, and under adaptation the monitor must see the same
+// AddBusyTime sequence. The blocked queries must emit nothing, which shows
+// the early exit really ran.
+TEST_P(KernelEquivalenceTest, ByteEqualWhenAPrefixDropsEveryLane) {
+  for (const query::SelectivityMode mode :
+       {query::SelectivityMode::kCorrelatedAttribute,
+        query::SelectivityMode::kIndependent}) {
+    const query::Workload workload = EarlyExitWorkload(GetParam(), mode);
+    double min_attribute = std::numeric_limits<double>::infinity();
+    for (const stream::Arrival& arrival : workload.arrivals.arrivals) {
+      min_attribute = std::min(min_attribute, arrival.attribute);
+    }
+    ASSERT_GT(min_attribute, kBlockSelectivity * 100.0);
+    const std::string mode_name =
+        mode == query::SelectivityMode::kCorrelatedAttribute ? "correlated"
+                                                             : "bernoulli";
+    for (const bool adapt : {false, true}) {
+      for (const sched::PolicyKind kind :
+           {sched::PolicyKind::kHnr, sched::PolicyKind::kLsf,
+            sched::PolicyKind::kBsd}) {
+        SimulationOptions options;
+        options.batch_size = 32;
+        options.adaptation.enabled = adapt;
+        options.qos.track_per_query = true;
+        const std::string what = std::string(sched::PolicyKindName(kind)) +
+                                 "/" + mode_name +
+                                 (adapt ? "/adaptation" : "");
+        ExpectColumnarMatchesScalar(workload, kind, options, what);
+        options.use_columnar_kernels = true;
+        const RunResult run = Simulate(
+            workload, sched::PolicyConfig::Of(kind), options);
+        EXPECT_GT(run.qos.tuples_emitted, 0) << what;
+        for (const auto& [query, stats] : run.qos.per_query_slowdown) {
+          EXPECT_NE(query % 2, 0) << what << ": blocked query " << query
+                                  << " emitted";
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceTest,

@@ -541,6 +541,62 @@ TEST(KineticIndexTest, ZeroPriorityBurstGoesToSmallestTieThenId) {
   }
 }
 
+TEST(KineticIndexTest, TieHeavyWalkReplaysOneMatchPerLevel) {
+  // Every line shares one anchor and one coefficient, so every match on
+  // every level ties on priority and is decided by (tie, id) alone. A
+  // random walk of inserts, re-keys and erases keeps the index in tree
+  // mode, checks it against the scan after every mutation, and checks that
+  // each tree-mode Insert or Erase replays exactly one match per level.
+  constexpr int kCapacity = 256;
+  constexpr int kDepth = 8;  // log2(kCapacity)
+  for (const auto mode :
+       {KineticIndex::EvalMode::kRatio, KineticIndex::EvalMode::kScaled}) {
+    KineticIndex index(mode);
+    index.Reserve(kCapacity);
+    std::map<int, RefLine> lines;
+    std::mt19937_64 rng(mode == KineticIndex::EvalMode::kRatio ? 0x71E : 0x7AB);
+    std::uniform_int_distribution<int> id_dist(0, kCapacity - 1);
+    std::uniform_int_distribution<int> tie_dist(0, 3);
+    std::uniform_int_distribution<int> op_dist(0, 2);
+    const RefLine shared{1.0, 0.75, 0.0};
+    const auto line_with_tie = [&] {
+      RefLine line = shared;
+      line.tie = static_cast<double>(tie_dist(rng));
+      return line;
+    };
+    while (index.dense()) Put(index, lines, id_dist(rng), line_with_tie());
+    double now = 1.0;
+    int winner = -1;
+    int64_t tree_mutations = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const int id = id_dist(rng);
+      // Erase only while the tree keeps well above kDenseMinLines.
+      const bool erase = op_dist(rng) == 0 &&
+                         index.size() > KineticIndex::kDenseMinLines + 8;
+      const int64_t before = index.node_recomputes();
+      if (erase) {
+        const bool present = index.Contains(id);
+        Drop(index, lines, id);
+        if (present) {
+          ++tree_mutations;
+          ASSERT_EQ(index.node_recomputes() - before, kDepth)
+              << "erase of " << id << " at step " << step;
+        }
+      } else {
+        Put(index, lines, id, line_with_tie());
+        ++tree_mutations;
+        ASSERT_EQ(index.node_recomputes() - before, kDepth)
+            << "insert of " << id << " at step " << step;
+      }
+      ASSERT_FALSE(index.dense());
+      now += 0.25;
+      ASSERT_TRUE(QueryMatches(index, lines, mode, now, &winner))
+          << "step " << step;
+    }
+    EXPECT_GT(tree_mutations, 2000);
+  }
+}
+
 TEST(KineticIndexTest, GrowthAndClearWithLiveLines) {
   // Growth past capacity rebuilds the tree around the live lines at the
   // latest query time; Clear resets only the live lines' nodes and returns
