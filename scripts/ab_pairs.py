@@ -13,9 +13,9 @@ parent's, and in how many pairs the change was better ("better" is read from
 BENCHMARK.json next to this script; a metric it does not list counts higher
 as better; ties count for neither side), and a verdict:
 
-  gain        the change won at least 9 in 10 of the pairs and its median
-              is better than the parent's by more than the parent's
-              interquartile distance;
+  gain        at least ten pairs ran, the change won at least 9 in 10 of
+              them, and its median is better than the parent's by more
+              than the parent's interquartile distance;
   worse       the change's median is worse than the parent's by more than
               the metric's relative `bound` in BENCHMARK.json;
   unresolved  the parent's own interquartile distance, relative to its
@@ -59,7 +59,8 @@ def verdict(parent, change, wins, up, bound):
     sign = 1.0 if up else -1.0
     p1, pm, p3 = quartiles(parent)
     _, cm, _ = quartiles(change)
-    if wins >= math.ceil(0.9 * len(parent)) and sign * (cm - pm) > p3 - p1:
+    if (len(parent) >= 10 and wins >= math.ceil(0.9 * len(parent))
+            and sign * (cm - pm) > p3 - p1):
         return "gain"
     if bound is None or pm == 0:
         return "ok"

@@ -265,7 +265,10 @@ class UnitQueue {
     }
     ++begin_;
     if (sheddable_) SkipShedRows();
-    IdleIfDrained();
+    if (static_cast<int64_t>(begin_) == feed_->frontier) {
+      live_ = false;
+      feed_->SetIdle(position_);
+    }
   }
   /// Pops the `count` (<= size()) oldest entries, passing each to `f` in
   /// FIFO order. A live range with an empty ring and no shedding is one run
@@ -278,7 +281,10 @@ class UnitQueue {
     }
     for (size_t i = 0; i < count; ++i) f(feed_->Row(begin_ + i));
     begin_ += static_cast<uint32_t>(count);
-    IdleIfDrained();
+    if (static_cast<int64_t>(begin_) == feed_->frontier) {
+      live_ = false;
+      feed_->SetIdle(position_);
+    }
   }
   void clear() {
     AQSIOS_DCHECK(!live_);
@@ -314,13 +320,6 @@ class UnitQueue {
       n -= feed_->ShedAtOrBelow(position_) - static_cast<int64_t>(shed_base_);
     }
     return n;
-  }
-  /// A live range that reached the delivery frontier goes idle.
-  void IdleIfDrained() {
-    if (static_cast<int64_t>(begin_) == feed_->frontier) {
-      live_ = false;
-      feed_->SetIdle(position_);
-    }
   }
   bool Sheds(int64_t row) const {
     return feed_->shed_from[static_cast<size_t>(row)] <= position_;
