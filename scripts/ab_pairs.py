@@ -152,9 +152,10 @@ def main():
         wins = sum(1 for p, c in zip(parent, change)
                    if (c > p if up else c < p))
         delta = (cm / pm - 1.0) * 100.0 if pm != 0 else 0.0
+        reading = verdict(parent, change, wins, up, bound)
         print(f"{name:<28} {p1:>11.5g} {pm:>11.5g} {p3:>11.5g} "
               f"{c1:>11.5g} {cm:>11.5g} {c3:>11.5g} {delta:>+7.2f}% "
-              f"{wins:>3}/{args.pairs} {verdict(parent, change, wins, up, bound)}")
+              f"{wins:>3}/{args.pairs} {reading}")
     same = len(digests) == 1 and None not in digests
     print("result_digest: " + ("all identical " + next(iter(digests))
                                if same else "DIFFER " + " ".join(

@@ -381,11 +381,11 @@ class Engine {
   /// Columnar counterpart of ExecuteChainTrain: runs the gathered column
   /// train through the unit's one fused run (a contiguous
   /// built_.chain_fusion) over the query's flat op table (chains_ below).
-  /// The branch-free predicate kernels compute each lane's survived depth; the depths then drive an
-  /// exact replay of the scalar pass's operator-at-a-time clock/counter
-  /// sequence (floating-point accumulation is order-sensitive, so the replay
-  /// repeats the very same additions — never a multiply) before survivors
-  /// are compacted and the root operator emits in selection order.
+  /// The branch-free predicate kernels count the lanes that reach each
+  /// operator; the counts drive an exact replay of the scalar pass's
+  /// operator-at-a-time clock/counter sequence (the same multiply-and-add
+  /// per operator as ChargeBulk, in the same order) before survivors are
+  /// compacted and the root operator emits in selection order.
   void ExecuteChainTrainColumnar(const sched::Unit& unit, size_t count);
   /// Grows the column scratch to hold `n` tuples (power-of-two growth;
   /// cache-line-aligned columns carved from column_arena_).
