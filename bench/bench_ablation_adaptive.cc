@@ -1,11 +1,11 @@
-// Ablation: adaptive statistics monitoring under stale selectivity
+// Ablation: run-time statistics estimation under stale selectivity
 // estimates (§10's dynamic-environment support).
 //
 // Workload filters exhibit actual selectivities that deviate from the
 // assumed ones by up to ±m. Compared: HNR with the stale assumed statistics,
-// HNR with the run-time monitor refreshing priorities, and the oracle HNR
-// that knows the actual statistics upfront. The monitor should recover most
-// of the stale-statistics penalty.
+// HNR with the online calibrator (sched/calibration.h) refreshing
+// priorities, and the oracle HNR that knows the actual statistics upfront.
+// The calibrator should recover most of the stale-statistics penalty.
 
 #include <iostream>
 
@@ -33,12 +33,14 @@ int Main(int argc, const char* const* argv) {
   double utilization = 0.95;
   double period = 0.25;
   flags.AddDouble("util", &utilization, "system load of the experiment");
-  flags.AddDouble("period", &period, "adaptation period (virtual seconds)");
+  flags.AddDouble("period", &period,
+                  "calibration epoch period (virtual seconds)");
   const bench::BenchArgs args =
       bench::ParseBenchArgs("adaptive", argc, argv, &flags);
   bench::PrintHeader(
-      "Ablation: adaptive statistics monitoring under selectivity drift",
-      "adaptive HNR recovers most of the stale-statistics slowdown penalty");
+      "Ablation: online calibration under selectivity drift",
+      "calibrated HNR recovers most of the stale-statistics slowdown "
+      "penalty");
 
   Table table({"misestimation", "HNR stale", "HNR adaptive", "HNR oracle",
                "gap recovered (%)"});
@@ -51,8 +53,8 @@ int Main(int argc, const char* const* argv) {
     const core::RunResult stale = core::Simulate(
         workload, sched::PolicyConfig::Of(sched::PolicyKind::kHnr));
     core::SimulationOptions adaptive_options;
-    adaptive_options.adaptation.enabled = true;
-    adaptive_options.adaptation.period = period;
+    adaptive_options.calibration.enabled = true;
+    adaptive_options.calibration.period = period;
     const core::RunResult adaptive = core::Simulate(
         workload, sched::PolicyConfig::Of(sched::PolicyKind::kHnr),
         adaptive_options);

@@ -21,8 +21,10 @@
 // plus a steady-state overhead pair (no drift, lsf):
 //   "drift/steady/lsf/calibration=off" and "...=on" — the on cell carries
 //       calibration_overhead_pct, the relative wall-clock cost of leaving
-//       the calibrator running when nothing drifts (gated absolutely by
-//       perf_compare.py --max-calibration-overhead).
+//       the calibrator running when nothing drifts: the median over
+//       alternating off/on pairs (5 × --reps; the order flips every pair),
+//       with calibration_overhead_iqr_pct and pairs beside it (gated
+//       absolutely by perf_compare.py --max-calibration-overhead).
 // Existing drift/ lines are replaced; every other benchmark line and the
 // report header are preserved byte-for-byte.
 //
@@ -101,6 +103,8 @@ struct DriftCell {
   double p99_slowdown_vs_static = 0.0;
   // Steady-state on cell only.
   double calibration_overhead_pct = 0.0;
+  double calibration_overhead_iqr_pct = 0.0;
+  int overhead_pairs = 0;
 };
 
 /// Live-telemetry wiring shared by all cells (docs/telemetry.md): sampler on
@@ -186,6 +190,62 @@ RunOutcome TimedRuns(const query::Workload& workload,
   return out;
 }
 
+/// Linear-interpolation quantile of `sorted` (ascending, non-empty).
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double h = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(h);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (h - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+/// The steady-state overhead measurement: `pairs` back-to-back (off, on)
+/// runs, alternating which goes first, so host-speed drift over the
+/// measurement lands on both sides. The overhead is read per pair; each
+/// side keeps its fastest run, and every run of a side must reproduce its
+/// first. The runs are bare: an attached sampler would be measured too.
+struct CalibrationOverhead {
+  RunOutcome off;
+  RunOutcome on;
+  double median_pct = 0.0;
+  double iqr_pct = 0.0;
+};
+
+CalibrationOverhead MeasureCalibrationOverhead(
+    const query::Workload& workload, const sched::PolicyConfig& policy,
+    const core::SimulationOptions& off_options,
+    const sched::CalibrationConfig& calibration, int pairs) {
+  core::SimulationOptions options[2] = {off_options, off_options};
+  options[1].calibration = calibration;
+  const char* const labels[2] = {"lsf/steady-off", "lsf/steady-on"};
+  CalibrationOverhead result;
+  RunOutcome* const sides[2] = {&result.off, &result.on};
+  std::vector<double> pct;
+  for (int i = 0; i < pairs; ++i) {
+    double ms[2] = {0.0, 0.0};
+    for (const int on : {i % 2, 1 - i % 2}) {
+      RunOutcome run = TimedRuns(workload, policy, options[on], labels[on],
+                                 /*reps=*/1, TelemetrySetup{});
+      ms[on] = run.wall_ms;
+      RunOutcome& side = *sides[on];
+      if (i == 0) {
+        side = std::move(run);
+      } else {
+        AQSIOS_CHECK(run.result.qos.p99_slowdown ==
+                         side.result.qos.p99_slowdown &&
+                     run.result.counters.calibration_updates ==
+                         side.result.counters.calibration_updates)
+            << "repeated drift runs diverged at " << labels[on];
+        side.wall_ms = std::min(side.wall_ms, run.wall_ms);
+      }
+    }
+    pct.push_back(ms[0] > 0.0 ? (ms[1] - ms[0]) / ms[0] * 100.0 : 0.0);
+  }
+  std::sort(pct.begin(), pct.end());
+  result.median_pct = Quantile(pct, 0.5);
+  result.iqr_pct = Quantile(pct, 0.75) - Quantile(pct, 0.25);
+  return result;
+}
+
 DriftCell MakeCell(CellKind kind, const std::string& policy,
                    const RunOutcome& run, int64_t arrivals) {
   DriftCell cell;
@@ -197,7 +257,7 @@ DriftCell MakeCell(CellKind kind, const std::string& policy,
   cell.avg_slowdown = run.result.qos.avg_slowdown;
   cell.peak_queued_tuples = run.result.counters.peak_queued_tuples;
   cell.tuples_emitted = run.result.qos.tuples_emitted;
-  cell.calibration_epochs = run.result.counters.calibration_epochs;
+  cell.calibration_epochs = run.result.counters.adaptation_ticks;
   cell.calibration_updates = run.result.counters.calibration_updates;
   cell.calibration_rekeys = run.result.counters.calibration_rekeys;
   cell.est_cost_drift = run.result.counters.calibration_cost_drift;
@@ -248,7 +308,10 @@ std::string CellLine(const DriftCell& cell, int queries) {
     os << ", \"p99_slowdown_vs_static\": " << cell.p99_slowdown_vs_static;
   }
   if (cell.kind == CellKind::kSteadyOn) {
-    os << ", \"calibration_overhead_pct\": " << cell.calibration_overhead_pct;
+    os << ", \"calibration_overhead_pct\": " << cell.calibration_overhead_pct
+       << ", \"calibration_overhead_iqr_pct\": "
+       << cell.calibration_overhead_iqr_pct
+       << ", \"pairs\": " << cell.overhead_pairs;
   }
   os << "}";
   return os.str();
@@ -442,7 +505,7 @@ int Main(int argc, char** argv) {
     const RunOutcome static_run =
         TimedRuns(workload, policy, options,
                   std::string(under_test.label) + "/static", reps, telemetry);
-    AQSIOS_CHECK(static_run.result.counters.calibration_epochs == 0);
+    AQSIOS_CHECK(static_run.result.counters.adaptation_ticks == 0);
     cells.push_back(MakeCell(CellKind::kDriftStatic, under_test.label,
                              static_run, arrivals));
 
@@ -488,28 +551,26 @@ int Main(int argc, char** argv) {
 
   // Steady-state overhead pair: same workload, NO drift — the calibrator
   // runs, converges, and (past its hysteresis band) stops touching the
-  // scheduler; the pair isolates what that costs in wall clock.
+  // scheduler; the pairs isolate what that costs in wall clock.
   {
-    const sched::PolicyConfig policy =
-        sched::PolicyConfig::Of(sched::PolicyKind::kLsf);
     core::SimulationOptions options;
     options.qos.track_per_class = false;
     options.shards = shards;
-    const RunOutcome off_run = TimedRuns(workload, policy, options,
-                                         "lsf/steady-off", reps, telemetry);
-    cells.push_back(MakeCell(CellKind::kSteadyOff, "lsf", off_run, arrivals));
-    options.calibration = calibration;
-    const RunOutcome on_run = TimedRuns(workload, policy, options,
-                                        "lsf/steady-on", reps, telemetry);
-    cells.push_back(MakeCell(CellKind::kSteadyOn, "lsf", on_run, arrivals));
+    const int pairs = quick ? 1 : 5 * reps;
+    const CalibrationOverhead overhead = MeasureCalibrationOverhead(
+        workload, sched::PolicyConfig::Of(sched::PolicyKind::kLsf), options,
+        calibration, pairs);
+    cells.push_back(
+        MakeCell(CellKind::kSteadyOff, "lsf", overhead.off, arrivals));
+    cells.push_back(MakeCell(CellKind::kSteadyOn, "lsf", overhead.on, arrivals));
     DriftCell& on_cell = cells.back();
-    on_cell.calibration_overhead_pct =
-        off_run.wall_ms > 0.0
-            ? (on_run.wall_ms - off_run.wall_ms) / off_run.wall_ms * 100.0
-            : 0.0;
-    std::cout << "\n" << CellName(on_cell, queries) << ": "
-              << on_cell.calibration_overhead_pct << "% wall overhead ("
-              << on_run.wall_ms << " vs " << off_run.wall_ms << " ms)\n";
+    on_cell.calibration_overhead_pct = overhead.median_pct;
+    on_cell.calibration_overhead_iqr_pct = overhead.iqr_pct;
+    on_cell.overhead_pairs = pairs;
+    std::cout << "\n" << CellName(on_cell, queries) << ": overhead median "
+              << overhead.median_pct << "% IQR " << overhead.iqr_pct
+              << "% over " << pairs << " pairs (fastest " << on_cell.wall_ms
+              << " vs " << overhead.off.wall_ms << " ms)\n";
   }
 
   std::vector<std::string> lines;

@@ -5,8 +5,9 @@
 // estimated at deploy time but drifted since (alert rates change, feeds get
 // noisier). The demo shows:
 //   1. how badly a static HNR scheduler does with the stale estimates,
-//   2. how the run-time statistics monitor (§10's dynamic-environment
-//      support) recovers the loss without redeploying,
+//   2. how online calibration (§10's dynamic-environment support: run-time
+//      monitoring of costs and selectivities) recovers the loss without
+//      redeploying,
 //   3. the per-burst slowdown timeline that aggregate numbers hide.
 
 #include <algorithm>
@@ -58,8 +59,8 @@ int main() {
   core::SimulationOptions stale_options;
   stale_options.qos.timeline_bucket = 5.0;
   core::SimulationOptions adaptive_options = stale_options;
-  adaptive_options.adaptation.enabled = true;
-  adaptive_options.adaptation.period = 0.5;
+  adaptive_options.calibration.enabled = true;
+  adaptive_options.calibration.period = 0.5;
 
   const core::RunResult stale = dsms.Run(
       sched::PolicyConfig::Of(sched::PolicyKind::kHnr), stale_options);
@@ -67,12 +68,12 @@ int main() {
       sched::PolicyConfig::Of(sched::PolicyKind::kHnr), adaptive_options);
 
   Table table({"scheduler", "avg slowdown", "max slowdown", "l2 norm",
-               "adaptation ticks"});
+               "estimator epochs"});
   table.AddRow("HNR (stale statistics)",
                {stale.qos.avg_slowdown, stale.qos.max_slowdown,
                 stale.qos.l2_slowdown,
                 static_cast<double>(stale.counters.adaptation_ticks)});
-  table.AddRow("HNR (adaptive monitor)",
+  table.AddRow("HNR (calibrated)",
                {adaptive.qos.avg_slowdown, adaptive.qos.max_slowdown,
                 adaptive.qos.l2_slowdown,
                 static_cast<double>(adaptive.counters.adaptation_ticks)});
@@ -104,8 +105,8 @@ int main() {
       break;
     }
   }
-  std::cout << "\nThe monitor re-learns S and C̄ within a few ticks; the "
-               "adaptive run tracks the oracle ordering of the previous "
-               "examples without redeploying any statistics.\n";
+  std::cout << "\nThe calibrator re-learns S and C̄ within a few epochs; "
+               "the calibrated run tracks the oracle ordering of the "
+               "previous examples without redeploying any statistics.\n";
   return 0;
 }

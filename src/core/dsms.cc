@@ -27,7 +27,6 @@ exec::EngineConfig MakeEngineConfig(const SimulationOptions& options,
   engine_config.sharing_objective = ObjectiveForPolicy(policy.kind);
   engine_config.overhead_op_cost =
       options.charge_scheduling_overhead ? min_operator_cost : 0.0;
-  engine_config.adaptation = options.adaptation;
   engine_config.calibration = options.calibration;
   engine_config.drift = options.drift;
   engine_config.tracer = options.tracer;

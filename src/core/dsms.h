@@ -30,14 +30,12 @@ struct SimulationOptions {
   /// Charge scheduling overhead to the virtual clock, one cheapest-operator
   /// cost per priority computation/comparison (§9.2, Figures 13–14).
   bool charge_scheduling_overhead = false;
-  /// Run-time statistics monitoring and priority adaptation (§10's dynamic
-  /// environment support). Query-level scheduling only.
-  exec::AdaptationConfig adaptation;
   /// Online cost/selectivity calibration (sched/calibration.h,
-  /// docs/calibration.md): decayed per-unit estimators feed epoch-batched
-  /// targeted priority re-keys through the kinetic index. Query-level only;
-  /// mutually exclusive with `adaptation` and with `rebalance`. Off by
-  /// default — off is byte-identical to pre-calibration builds.
+  /// docs/calibration.md), §10's dynamic-environment support: decayed
+  /// per-unit estimators feed epoch-batched targeted priority re-keys
+  /// through the kinetic index. Query-level only; incompatible with
+  /// `rebalance`. Off by default — off is byte-identical to
+  /// pre-calibration builds.
   sched::CalibrationConfig calibration;
   /// Mid-run statistics drift of a query subset (stream/drift.h): the
   /// workload scenario calibration exists for. Composes with batching;
@@ -96,7 +94,7 @@ struct SimulationOptions {
   /// epoch-driven elastic path (for any `shards`, including 1, where it
   /// still reproduces the classic engine byte for byte) and whole placement
   /// groups migrate between shards when the busy-time imbalance exceeds the
-  /// hysteresis band. Incompatible with tracer/adaptation/shed/admission
+  /// hysteresis band. Incompatible with tracer/calibration/shed/admission
   /// (checked).
   RebalanceConfig rebalance;
 

@@ -126,13 +126,13 @@ void WriteCounters(JsonWriter& json, const exec::RunCounters& counters) {
     json.Number(counters.ShedRatio());
     json.EndObject();
   }
-  if (counters.calibration_epochs > 0) {
+  if (counters.adaptation_ticks > 0) {
     // Online calibration enabled; disabled runs keep serializing
     // byte-identically to pre-calibration reports.
     json.Key("calibration");
     json.BeginObject();
     json.Key("epochs");
-    json.Number(counters.calibration_epochs);
+    json.Number(counters.adaptation_ticks);
     json.Key("updates");
     json.Number(counters.calibration_updates);
     json.Key("rekeys");

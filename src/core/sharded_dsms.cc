@@ -100,8 +100,6 @@ ShardedRunResult SimulateElasticPlan(
   AQSIOS_CHECK(options.tracer == nullptr && shard_tracers == nullptr)
       << "elastic rebalancing does not support tracing (a migrated group's "
          "events would interleave across shard trace files)";
-  AQSIOS_CHECK(!options.adaptation.enabled)
-      << "elastic rebalancing is incompatible with priority adaptation";
   AQSIOS_CHECK(!options.calibration.enabled)
       << "elastic rebalancing is incompatible with calibration (estimator "
          "state cannot migrate with a group)";

@@ -90,7 +90,6 @@ void RunCounters::Merge(const RunCounters& other) {
   max_train_tuples = std::max(max_train_tuples, other.max_train_tuples);
   tuples_offered += other.tuples_offered;
   tuples_shed += other.tuples_shed;
-  calibration_epochs += other.calibration_epochs;
   calibration_updates += other.calibration_updates;
   calibration_rekeys += other.calibration_rekeys;
   // Drift gauges are per-engine means; the merged report keeps the worst
@@ -280,21 +279,10 @@ Engine::Engine(const query::GlobalPlan* plan,
     if (unit.input_stream >= 0) SubscribeLeaf(unit.id);
   }
 
-  if (config.adaptation.enabled) {
-    AQSIOS_CHECK(config.level == SchedulingLevel::kQueryLevel)
-        << "statistics adaptation requires query-level scheduling (root "
-           "emissions per execution estimate the segment selectivity)";
-    stats_monitor_ = std::make_unique<StatsMonitor>(
-        config.adaptation, &built_.units, scheduler_);
-  }
-
   if (config.calibration.enabled) {
     AQSIOS_CHECK(config.level == SchedulingLevel::kQueryLevel)
         << "online calibration requires query-level scheduling (root "
            "emissions per dispatch estimate the segment selectivity)";
-    AQSIOS_CHECK(!config.adaptation.enabled)
-        << "calibration and windowed adaptation both rewrite UnitStats; "
-           "enable one";
     calibrator_ = std::make_unique<sched::CostCalibrator>(
         config.calibration, &built_.units, scheduler_);
   }
@@ -313,7 +301,7 @@ Engine::Engine(const query::GlobalPlan* plan,
 
   // The flat chain op table: per-operator constants of every single-stream
   // query, pinned once here because the compiled plan is immutable for the
-  // whole run (the stats monitor adapts UnitStats, never OperatorSpec).
+  // whole run (the calibrator rewrites UnitStats, never OperatorSpec).
   chains_.resize(static_cast<size_t>(plan->num_queries()));
   for (const query::CompiledQuery& q : plan->queries()) {
     if (q.is_multi_stream()) continue;
@@ -374,13 +362,14 @@ void Engine::Charge(SimTime cost) {
   now_ += scaled;
   counters_.busy_time += scaled;
   ++counters_.operator_invocations;
-  if (stats_monitor_ != nullptr) stats_monitor_->AddBusyTime(scaled);
+  if (drifting_) plan_busy_ += cost;
 }
 
 void Engine::ChargeBulk(SimTime cost) {
   // Σ of the lanes' cost factors: the lane count outside a drift run.
   double factors = static_cast<double>(train_sel_.size());
   if (drifting_) {
+    plan_busy_ += cost * factors;
     factors = 0.0;
     for (const uint32_t idx : train_sel_) factors += train_scale_[idx].first;
   }
@@ -398,7 +387,6 @@ void Engine::ChargeBulk(SimTime cost) {
   now_ += total;
   counters_.busy_time += total;
   counters_.operator_invocations += static_cast<int64_t>(train_sel_.size());
-  if (stats_monitor_ != nullptr) stats_monitor_->AddBusyTime(total);
 }
 
 void Engine::SetDriftFactors(query::QueryId q, SimTime arrival_time) {
@@ -486,7 +474,6 @@ void Engine::EmitSingle(const query::CompiledQuery& q,
                                  PathChargeBound(q)))
       << "slowdown below 1 implies response below ideal processing time";
   ++counters_.tuples_emitted;
-  if (stats_monitor_ != nullptr) stats_monitor_->AddEmission();
   if (telemetry_ != nullptr) {
     telemetry_slowdown_sum_ += slowdown;
     ++telemetry_slowdown_count_;
@@ -583,7 +570,6 @@ void Engine::EmitComposite(const query::CompiledQuery& q,
                                                   PathChargeBound(q)))
       << "slowdown below 1 implies response below ideal processing time";
   ++counters_.tuples_emitted;
-  if (stats_monitor_ != nullptr) stats_monitor_->AddEmission();
   if (telemetry_ != nullptr) {
     telemetry_slowdown_sum_ += slowdown;
     ++telemetry_slowdown_count_;
@@ -1079,7 +1065,6 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
   const KernelOp* run_ops = chain_ops_.data() + chain.begin + from;
   const int k_pred = chain.n_ops - from - 1;
   const uint64_t query_key = static_cast<uint64_t>(q.id());
-  const bool track_stats = stats_monitor_ != nullptr;
   int64_t* const reach = kernel_reach_.data();
   if (chain.correlated) {
     // Per-operator survivor counts straight off the attribute column.
@@ -1110,7 +1095,6 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
     now += total;
     busy += total;
     invocations += reach[x];
-    if (track_stats) stats_monitor_->AddBusyTime(total);
   }
 
   // Branch-free survivor compaction into the selection vector: correlated
@@ -1144,7 +1128,6 @@ void Engine::ExecuteChainTrainColumnar(const sched::Unit& unit,
     const uint32_t row = sel[j];
     now += root.cost;
     busy += root.cost;
-    if (track_stats) stats_monitor_->AddBusyTime(root.cost);
     const bool passes =
         chain.correlated
             ? col_attr_[row] <= root.threshold
@@ -1225,19 +1208,13 @@ void Engine::ExecuteUnitTrain(int unit_id) {
     counters_.max_train_tuples = std::max(counters_.max_train_tuples,
                                           static_cast<int64_t>(count));
   }
-  if (stats_monitor_ != nullptr) {
-    // Each train tuple is one execution of the unit for the selectivity /
-    // cost estimators.
-    for (size_t i = 0; i < count; ++i) {
-      stats_monitor_->OnExecutionStart(unit_id);
-    }
-  }
 
   exec_start_ = now_;
   cur_unit_ = unit_id;
   cur_query_ = static_cast<int32_t>(unit.query);
 
   const SimTime dispatch_busy0 = counters_.busy_time;
+  const SimTime dispatch_plan0 = plan_busy_;
   const int64_t dispatch_emit0 = counters_.tuples_emitted;
 
   switch (unit.kind) {
@@ -1274,9 +1251,12 @@ void Engine::ExecuteUnitTrain(int unit_id) {
 
   if (calibrator_ != nullptr) {
     // The whole train is one estimator observation: `count` tuples, their
-    // combined busy time, their root emissions.
-    calibrator_->OnDispatch(unit_id, static_cast<int64_t>(count),
-                            counters_.busy_time - dispatch_busy0,
+    // combined busy time and its plan cost, their root emissions. Outside
+    // a drift run the plan cost is the busy time itself (the same value, so
+    // the calibrator's cost-drift ratio is exactly 1).
+    const SimTime busy = counters_.busy_time - dispatch_busy0;
+    calibrator_->OnDispatch(unit_id, static_cast<int64_t>(count), busy,
+                            drifting_ ? plan_busy_ - dispatch_plan0 : busy,
                             counters_.tuples_emitted - dispatch_emit0);
   }
   // One busy sample / segment-run event per dispatch: the train is the unit
@@ -1392,17 +1372,16 @@ bool Engine::RunUntil(SimTime barrier) {
       group_busy_[static_cast<size_t>(group_of_unit_[static_cast<size_t>(
           picked_.front())])] += counters_.busy_time - busy_before;
     }
-    if (stats_monitor_ != nullptr && stats_monitor_->MaybeAdapt(now_)) {
+    // Estimator epochs fire at deterministic virtual times, after the
+    // dispatch (the epoch sees completed work only). The rewrite counters
+    // are copied out once in Finish.
+    if (calibrator_ != nullptr && calibrator_->MaybeCalibrate(now_)) {
       ++counters_.adaptation_ticks;
       if (tracer_ != nullptr) {
         tracer_->Record({obs::EventKind::kAdaptationTick, now_, 0.0, -1, -1,
-                         stats_monitor_->last_refreshed_units()});
+                         calibrator_->last_updated_units()});
       }
     }
-    // Calibration epochs fire at deterministic virtual times, after the
-    // dispatch like the adaptive monitor (the epoch sees completed work
-    // only). Counters are copied out once in Finish.
-    if (calibrator_ != nullptr) calibrator_->MaybeCalibrate(now_);
     // Execution may push the clock past the barrier; deliveries are clamped
     // so the arrival cursor is frozen at the barrier for migrations, and the
     // withheld tail lands at the next RunUntil's entry catch-up. Most
@@ -1417,7 +1396,6 @@ bool Engine::RunUntil(SimTime barrier) {
 RunCounters Engine::Finish() {
   AccrueQueueOccupancy();
   if (calibrator_ != nullptr) {
-    counters_.calibration_epochs = calibrator_->epochs();
     counters_.calibration_updates = calibrator_->updates();
     counters_.calibration_rekeys = calibrator_->rekeys();
     counters_.calibration_cost_drift = calibrator_->MeanAbsCostDrift();
@@ -1445,11 +1423,9 @@ void Engine::ConfigureElastic(const std::vector<int>& group_of_query,
                               std::vector<uint8_t> owned_groups) {
   AQSIOS_CHECK(!ran_) << "ConfigureElastic must precede Begin";
   // Elastic runs disallow the features whose state can't migrate with a
-  // group (adaptation rewrites shared stats; shedding/tracing key off
-  // whole-engine populations the ownership filter would distort).
+  // group (calibration keeps per-unit estimator state; shedding/tracing
+  // key off whole-engine populations the ownership filter would distort).
   AQSIOS_CHECK(config_.tracer == nullptr) << "elastic mode cannot be traced";
-  AQSIOS_CHECK(!config_.adaptation.enabled)
-      << "elastic mode is incompatible with adaptation";
   AQSIOS_CHECK(!config_.calibration.enabled)
       << "elastic mode is incompatible with calibration (estimator state "
          "cannot migrate with a group)";

@@ -24,7 +24,6 @@
 
 #include "common/arena.h"
 #include "common/sim_time.h"
-#include "exec/stats_monitor.h"
 #include "exec/unit_builder.h"
 #include "exec/window_join.h"
 #include "metrics/qos.h"
@@ -66,9 +65,6 @@ struct EngineConfig {
   /// Simulated cost (seconds) of one scheduling computation/comparison;
   /// 0 disables overhead charging.
   SimTime overhead_op_cost = 0.0;
-
-  /// Run-time statistics monitoring (query-level scheduling only).
-  AdaptationConfig adaptation;
 
   /// Optional event tracer. Observation-only: attaching a tracer never
   /// changes the simulation (every site is a branch on this pointer — the
@@ -125,10 +121,11 @@ struct EngineConfig {
   ShedConfig shed;
 
   /// Online cost/selectivity calibration (sched/calibration.h,
-  /// docs/calibration.md). Query-level scheduling only; mutually exclusive
-  /// with `adaptation` (both rewrite UnitStats). Off by default — and off is
-  /// byte-identical: the engine then never constructs the calibrator and
-  /// every hot-path site is one branch on a null pointer.
+  /// docs/calibration.md): the engine's only statistics estimator, §10's
+  /// run-time monitoring of costs and selectivities. Query-level scheduling
+  /// only. Off by default — and off is byte-identical: the engine then never
+  /// constructs the calibrator and every hot-path site is one branch on a
+  /// null pointer.
   sched::CalibrationConfig calibration;
 
   /// Optional per-stream row index of the arrival table (stream::
@@ -160,6 +157,7 @@ struct RunCounters {
   int64_t tuples_filtered = 0;
   int64_t composites_generated = 0;
   int64_t overhead_operations = 0;
+  /// Statistics-estimator epochs fired (CalibrationConfig::enabled only).
   int64_t adaptation_ticks = 0;
 
   /// Decision shape: Σ candidates examined and Σ priority computations over
@@ -185,11 +183,11 @@ struct RunCounters {
   int64_t tuples_shed = 0;
 
   /// Online calibration only (all zero — and the report writer omits the
-  /// calibration block — unless CalibrationConfig::enabled): epochs fired,
-  /// units whose stats were rewritten (summed over epochs), and how many of
-  /// those rewrites re-keyed a unit with pending work. The drift gauges are
-  /// the final-epoch mean |estimate/static - 1| over all units.
-  int64_t calibration_epochs = 0;
+  /// calibration block — unless CalibrationConfig::enabled; its epochs are
+  /// adaptation_ticks): units whose stats were rewritten (summed over
+  /// epochs), and how many of those rewrites re-keyed a unit with pending
+  /// work. The drift gauges are the final-epoch mean |estimate/static - 1|
+  /// over all units.
   int64_t calibration_updates = 0;
   int64_t calibration_rekeys = 0;
   double calibration_cost_drift = 0.0;
@@ -280,7 +278,7 @@ class Engine {
   /// the global arrival table, but only delivers arrivals to the placement
   /// groups it owns (`owned_groups` bitmap over `num_groups` groups;
   /// `group_of_query` maps every query to its group). Incompatible with
-  /// tracing, adaptation, and load shedding (checked).
+  /// tracing, calibration, and load shedding (checked).
   void ConfigureElastic(const std::vector<int>& group_of_query,
                         int num_groups, std::vector<uint8_t> owned_groups);
 
@@ -470,8 +468,6 @@ class Engine {
   metrics::QosCollector* collector_;
 
   BuiltUnits built_;
-  /// Present when config_.adaptation.enabled.
-  std::unique_ptr<StatsMonitor> stats_monitor_;
   /// Present when config_.calibration.enabled.
   std::unique_ptr<sched::CostCalibrator> calibrator_;
   /// Delivery state of one input stream. A leaf's position is its index in
@@ -555,6 +551,10 @@ class Engine {
   /// charges stay schedule- and policy-independent.
   double charge_scale_ = 1.0;
   double sel_scale_ = 1.0;
+  /// Drift runs: Σ of the undrifted operator costs charged so far — the
+  /// plan cost of the run's invocations, which the calibrator sets against
+  /// the drifted busy time (sched/calibration.h). Stays 0 otherwise.
+  SimTime plan_busy_ = 0.0;
   /// Train scratch, reused across dispatches: the entries drained by a
   /// train of more than one tuple, the selection vector of indexes into it
   /// that still survive the chain pass, and (drift runs) each entry's

@@ -35,7 +35,8 @@ enum class EventKind : uint8_t {
   /// b = priority value of the chosen unit (policy-specific; 0 when the
   /// policy computes no numeric priority).
   kSchedDecision,
-  /// An adaptation tick of the statistics monitor. a = units refreshed.
+  /// An epoch of the statistics estimator (sched/calibration.h). a = units
+  /// whose stats it rewrote.
   kAdaptationTick,
   /// A source tuple was shed at admission to a leaf queue (QoS-aware load
   /// shedding, exec::ShedConfig). a = arrival id, b = total queued tuples

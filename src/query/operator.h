@@ -52,7 +52,7 @@ struct OperatorSpec {
   /// The selectivity the operator actually exhibits at execution time; -1
   /// means "same as `selectivity`". When they differ, the optimizer's
   /// assumed statistics (`selectivity`, used for all priorities) are stale —
-  /// the situation the adaptive statistics monitor corrects (§10 discusses
+  /// the situation online calibration corrects (§10 discusses
   /// running in such dynamic environments).
   double actual_selectivity = -1.0;
 

@@ -138,7 +138,7 @@ class CompiledQuery {
   /// Like ChainSegmentStats but computed from the operators' *actual*
   /// execution-time selectivities (which may drift from the assumed ones,
   /// see OperatorSpec::actual_selectivity). What an oracle scheduler, the
-  /// load calibration, and the adaptive monitor converge to.
+  /// load calibration, and the online calibrator converge to.
   SegmentStats ActualChainSegmentStats(int x) const;
 
   /// Stats of the full leaf-to-root segment.

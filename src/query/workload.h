@@ -58,7 +58,7 @@ struct WorkloadConfig {
   /// an *actual* selectivity that deviates from the assumed one by a
   /// uniform factor in [1-m, 1+m] (clamped to (0.01, 1]). Priorities use
   /// the assumed values; execution and load calibration use the actual
-  /// ones. Exercises the adaptive statistics monitor.
+  /// ones. Exercises online calibration (sched/calibration.h).
   double selectivity_misestimation = 0.0;
 
   uint64_t seed = 42;

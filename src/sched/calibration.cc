@@ -47,8 +47,8 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
     if (acc.tuples >= config_.min_weight) {
       // The decayed ratios: decay scales numerator and denominator alike, so
       // this is the exponentially-weighted average of the per-epoch
-      // observations, floored like the adaptive monitor so rate priorities
-      // stay finite.
+      // observations, floored so rate priorities stay finite (a unit
+      // observed to emit nothing keeps a tiny positive rate).
       const SimTime cost = std::max(acc.busy / acc.tuples, 1e-9);
       const double selectivity = std::max(acc.emitted / acc.tuples, 1e-6);
       estimated_cost_[u] = cost;
@@ -65,12 +65,12 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
         const Baseline& base = baseline_[u];
         stats.expected_cost = cost;
         stats.selectivity = selectivity;
-        // The whole segment's operator costs drift by one common factor
-        // (stream/drift.h selects whole queries), so the true ideal time
-        // scales with the observed per-tuple cost. A static cost of 0 gives
-        // no factor to scale by: T stays static.
-        stats.ideal_time = base.cost > 0.0
-                               ? base.ideal_time * (cost / base.cost)
+        // T = Σ c_i scales with the operators' cost drift: observed busy
+        // over the plan cost of the same invocations. Reach changes cancel
+        // out of that ratio (without drift it is exactly 1, so T stays
+        // bit-equal); a plan cost of 0 gives no factor to scale by.
+        stats.ideal_time = acc.plan_busy > 0.0
+                               ? base.ideal_time * (acc.busy / acc.plan_busy)
                                : base.ideal_time;
         RederiveUnitStats(&stats);
         changed_.push_back(static_cast<int>(u));
@@ -79,6 +79,7 @@ bool CostCalibrator::MaybeCalibrate(SimTime now) {
     }
     acc.tuples *= config_.decay;
     acc.busy *= config_.decay;
+    acc.plan_busy *= config_.decay;
     acc.emitted *= config_.decay;
 
     // A unit with static cost 0 has no relative cost drift.

@@ -1,21 +1,27 @@
-// Online cost/selectivity calibration (ROADMAP item 2).
+// Online cost/selectivity estimation: §10's "monitoring the queries' costs
+// and selectivities, and updating the priorities", and the engine's only
+// statistics-refresh loop.
 //
 // Every policy keys its priority on the *assumed* plan statistics (C̄, S,
-// T); under drifting stream statistics those go stale and the schedulers
-// optimize yesterday's workload. The CostCalibrator closes the loop:
+// T); under misestimated or drifting stream statistics those go stale and
+// the schedulers optimize yesterday's workload. The CostCalibrator closes
+// the loop:
 //
 //   * Per-unit exponentially-decayed counters accumulate the observed tuple
-//     count, busy time, and root emissions of every dispatch. The hot-path
-//     tap (OnDispatch) is three fused multiply-adds — no branches beyond the
+//     count, busy time, plan busy time and root emissions of every dispatch.
+//     The hot-path tap (OnDispatch) is four adds — no branches beyond the
 //     engine's single null-pointer check, no allocations.
 //   * Every `period` virtual seconds an epoch fires: each unit with enough
 //     decayed tuple mass re-estimates c_x = busy/tuples (per-tuple segment
 //     cost) and s_x = emissions/tuples (segment selectivity) from the
 //     decayed ratios — an exponentially-weighted average whose window is set
 //     by `decay` — and, when an estimate moved by more than `rel_epsilon`
-//     relative, rewrites the unit's UnitStats (ideal time rescaled as
-//     T·c_est/c_static, valid because a query's operator costs drift by a
-//     common factor) and re-derives the priority fields.
+//     relative, rewrites the unit's UnitStats and re-derives the priority
+//     fields. The ideal time is rescaled as T·busy/plan_busy: plan busy is
+//     what the same operator invocations cost at the plan's operator costs,
+//     so the ratio is the operators' cost drift alone. A selectivity change
+//     moves c_x (a different number of tuples reaches the later operators)
+//     but not T = Σ c_i, and it leaves the ratio at exactly 1.
 //   * The changed set is handed to Scheduler::OnCalibratedStats, whose
 //     kinetic implementations re-key only those units' priority lines
 //     through the index's leaf-to-root path replay — O(log n) per affected
@@ -63,13 +69,16 @@ class CostCalibrator {
   CostCalibrator& operator=(const CostCalibrator&) = delete;
 
   /// Hot-path tap: one dispatch of `unit` processed `tuples` queue entries,
-  /// spent `busy` seconds, and emitted `emitted` root tuples. Covers the
-  /// per-tuple, train, and columnar execution paths uniformly (all three
-  /// maintain the engine counters these deltas come from).
-  void OnDispatch(int unit, int64_t tuples, SimTime busy, int64_t emitted) {
+  /// spent `busy` seconds, would have spent `plan_busy` seconds at the
+  /// plan's operator costs, and emitted `emitted` root tuples. Covers the
+  /// train and columnar execution paths uniformly (both maintain the engine
+  /// counters these deltas come from).
+  void OnDispatch(int unit, int64_t tuples, SimTime busy, SimTime plan_busy,
+                  int64_t emitted) {
     Acc& acc = acc_[static_cast<size_t>(unit)];
     acc.tuples += static_cast<double>(tuples);
     acc.busy += busy;
+    acc.plan_busy += plan_busy;
     acc.emitted += static_cast<double>(emitted);
   }
 
@@ -107,6 +116,7 @@ class CostCalibrator {
   struct Acc {
     double tuples = 0.0;
     SimTime busy = 0.0;
+    SimTime plan_busy = 0.0;
     double emitted = 0.0;
   };
   struct Baseline {

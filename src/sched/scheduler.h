@@ -65,10 +65,10 @@ class Scheduler {
     for (int i = 0; i < count; ++i) OnDequeue(unit);
   }
 
-  /// Called after the adaptive statistics monitor refreshed UnitStats in
-  /// place. Policies that precompute orderings from the stats must rebuild
-  /// them here (queues are untouched); policies that read stats at decision
-  /// time need not override.
+  /// Called after UnitStats were refreshed in place. Policies that
+  /// precompute orderings from the stats must rebuild them here (queues are
+  /// untouched); policies that read stats at decision time need not
+  /// override.
   virtual void OnStatsUpdated() {}
 
   /// Called after the online cost calibrator (sched/calibration.h) refreshed

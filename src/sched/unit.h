@@ -351,8 +351,9 @@ class UnitQueue {
 
 /// Static priority ingredients of a unit (derived from SegmentStats, or from
 /// a sharing strategy for kSharedGroup units). "Static" means per-scheduling
-/// -point constant; the adaptive statistics monitor may refresh these from
-/// run-time observations (followed by Scheduler::OnStatsUpdated).
+/// -point constant; the online calibrator (sched/calibration.h) may refresh
+/// these from run-time observations (followed by
+/// Scheduler::OnCalibratedStats).
 struct UnitStats {
   /// Global selectivity S of the unit's segment (expected emissions per
   /// execution).
@@ -377,9 +378,8 @@ struct UnitStats {
 /// Builds UnitStats from an operator segment's characterizing parameters.
 UnitStats StatsFromSegment(const query::SegmentStats& segment);
 
-/// Recomputes the derived priority fields of `stats` after `selectivity`
-/// and/or `expected_cost` changed (ideal_time is preserved). Used by the
-/// adaptive statistics monitor.
+/// Recomputes the derived priority fields of `stats` from its selectivity,
+/// expected_cost and ideal_time. Used by the online calibrator.
 void RederiveUnitStats(UnitStats* stats);
 
 struct Unit {

@@ -1,11 +1,13 @@
-// Tests for statistics drift and the adaptive monitor.
+// Tests for misestimated statistics and §10's run-time adaptation, which
+// the online calibrator (sched/calibration.h) provides.
+
+#include <cstdio>
 
 #include <gtest/gtest.h>
 
 #include "gtest_compat.h"
 
 #include "core/dsms.h"
-#include "exec/stats_monitor.h"
 #include "query/workload.h"
 
 namespace aqsios::exec {
@@ -65,95 +67,6 @@ TEST(DriftModelTest, WorkloadCalibratesAgainstActualLoad) {
   EXPECT_TRUE(any_drift);
 }
 
-// --- StatsMonitor unit behaviour ------------------------------------------------
-
-class FakeScheduler : public sched::Scheduler {
- public:
-  void Attach(const sched::UnitTable* /*units*/) override {}
-  void OnEnqueue(int /*unit*/) override {}
-  void OnDequeue(int /*unit*/) override {}
-  bool PickNext(SimTime /*now*/, sched::SchedulingCost* /*cost*/,
-                std::vector<int>* /*out*/) override {
-    return false;
-  }
-  void OnStatsUpdated() override { ++updates; }
-  void ResyncQueues(SimTime /*now*/) override {}
-  const char* name() const override { return "fake"; }
-
-  int updates = 0;
-};
-
-TEST(StatsMonitorTest, EwmaConvergesToObservations) {
-  sched::UnitTable units(1);
-  units[0].id = 0;
-  units[0].stats.selectivity = 0.9;   // assumed
-  units[0].stats.expected_cost = 0.010;
-  units[0].stats.ideal_time = 0.010;
-  sched::RederiveUnitStats(&units[0].stats);
-
-  FakeScheduler scheduler;
-  AdaptationConfig config;
-  config.enabled = true;
-  config.period = 1.0;
-  config.ewma_alpha = 0.5;
-  config.min_executions = 10;
-  StatsMonitor monitor(config, &units, &scheduler);
-
-  // Observed behaviour: selectivity 0.1, cost 2 ms.
-  SimTime now = 0.0;
-  for (int tick = 0; tick < 12; ++tick) {
-    for (int i = 0; i < 100; ++i) {
-      monitor.OnExecutionStart(0);
-      monitor.AddBusyTime(0.002);
-      if (i % 10 == 0) monitor.AddEmission();  // 10% selectivity
-    }
-    now += 1.0;
-    EXPECT_TRUE(monitor.MaybeAdapt(now));
-  }
-  EXPECT_EQ(monitor.ticks(), 12);
-  EXPECT_EQ(scheduler.updates, 12);
-  EXPECT_NEAR(monitor.EstimatedSelectivity(0), 0.1, 0.01);
-  EXPECT_NEAR(monitor.EstimatedCost(0), 0.002, 1e-5);
-  EXPECT_NEAR(units[0].stats.selectivity, 0.1, 0.01);
-  EXPECT_NEAR(units[0].stats.output_rate, 0.1 / 0.002, 3.0);
-}
-
-TEST(StatsMonitorTest, FewSamplesKeepPriorEstimate) {
-  sched::UnitTable units(1);
-  units[0].id = 0;
-  units[0].stats.selectivity = 0.9;
-  units[0].stats.expected_cost = 0.010;
-  units[0].stats.ideal_time = 0.010;
-  sched::RederiveUnitStats(&units[0].stats);
-  FakeScheduler scheduler;
-  AdaptationConfig config;
-  config.enabled = true;
-  config.period = 1.0;
-  config.min_executions = 50;
-  StatsMonitor monitor(config, &units, &scheduler);
-  for (int i = 0; i < 10; ++i) {  // below min_executions
-    monitor.OnExecutionStart(0);
-    monitor.AddBusyTime(0.002);
-  }
-  EXPECT_TRUE(monitor.MaybeAdapt(1.5));
-  EXPECT_NEAR(monitor.EstimatedSelectivity(0), 0.9, 1e-12);
-}
-
-TEST(StatsMonitorTest, NoTickBeforePeriod) {
-  sched::UnitTable units(1);
-  units[0].id = 0;
-  units[0].stats.expected_cost = 0.010;
-  units[0].stats.ideal_time = 0.010;
-  FakeScheduler scheduler;
-  AdaptationConfig config;
-  config.enabled = true;
-  config.period = 2.0;
-  StatsMonitor monitor(config, &units, &scheduler);
-  EXPECT_FALSE(monitor.MaybeAdapt(1.0));
-  EXPECT_TRUE(monitor.MaybeAdapt(2.5));
-  EXPECT_FALSE(monitor.MaybeAdapt(2.6));
-}
-
 // --- End-to-end adaptation -------------------------------------------------------
 
 query::Workload DriftedWorkload(uint64_t seed) {
@@ -189,8 +102,8 @@ TEST_P(AdaptiveEndToEndTest, AdaptiveHnrApproachesOracle) {
       workload, sched::PolicyConfig::Of(sched::PolicyKind::kHnr));
 
   SimulationOptions adaptive_options;
-  adaptive_options.adaptation.enabled = true;
-  adaptive_options.adaptation.period = 0.25;
+  adaptive_options.calibration.enabled = true;
+  adaptive_options.calibration.period = 0.25;
   const RunResult adaptive =
       Simulate(workload, sched::PolicyConfig::Of(sched::PolicyKind::kHnr),
                adaptive_options);
@@ -205,15 +118,17 @@ TEST_P(AdaptiveEndToEndTest, AdaptiveHnrApproachesOracle) {
   EXPECT_EQ(stale.qos.tuples_emitted, adaptive.qos.tuples_emitted);
   EXPECT_EQ(stale.qos.tuples_emitted, oracle.qos.tuples_emitted);
 
-  // Oracle <= adaptive <= stale (with a noise margin): monitoring recovers
-  // most of what stale statistics lose.
+  // Oracle <= adaptive < stale: the estimator recovers nearly all of what
+  // stale statistics lose. A selectivity-only misestimation leaves T
+  // untouched, so only S and C̄ move.
   EXPECT_LT(oracle.qos.avg_slowdown, stale.qos.avg_slowdown);
-  EXPECT_LT(adaptive.qos.avg_slowdown, stale.qos.avg_slowdown * 1.001);
   const double stale_gap = stale.qos.avg_slowdown - oracle.qos.avg_slowdown;
-  const double adaptive_gap =
-      adaptive.qos.avg_slowdown - oracle.qos.avg_slowdown;
-  EXPECT_LT(adaptive_gap, 0.75 * stale_gap)
-      << "adaptation should close most of the stale-statistics gap";
+  const double recovered =
+      (stale.qos.avg_slowdown - adaptive.qos.avg_slowdown) / stale_gap;
+  std::printf("seed %llu: calibration recovers %.2f%% of the gap\n",
+              static_cast<unsigned long long>(GetParam()), 100.0 * recovered);
+  EXPECT_GE(recovered, 0.95)
+      << "calibration should close at least 95% of the stale-statistics gap";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveEndToEndTest,
@@ -227,7 +142,7 @@ TEST(AdaptiveEngineDeathTest, RequiresQueryLevel) {
   config.seed = 1;
   const query::Workload workload = query::GenerateWorkload(config);
   SimulationOptions options;
-  options.adaptation.enabled = true;
+  options.calibration.enabled = true;
   options.level = SchedulingLevel::kOperatorLevel;
   EXPECT_DEATH(Simulate(workload,
                         sched::PolicyConfig::Of(sched::PolicyKind::kHnr),

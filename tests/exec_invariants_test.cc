@@ -147,8 +147,8 @@ TEST(EngineInvariantsTest, FifoWithinQueryUnderEveryPolicy) {
 }
 
 TEST(EngineInvariantsTest, AdaptiveBsdReadsRefreshedStatsLive) {
-  // BSD reads unit stats at pick time, so it works with adaptation without
-  // any OnStatsUpdated override; the run must stay self-consistent.
+  // BSD re-keys the units the calibrator rewrites; the run must stay
+  // self-consistent.
   query::WorkloadConfig config;
   config.num_queries = 10;
   config.num_arrivals = 2000;
@@ -157,13 +157,14 @@ TEST(EngineInvariantsTest, AdaptiveBsdReadsRefreshedStatsLive) {
   config.selectivity_misestimation = 0.7;
   const query::Workload workload = query::GenerateWorkload(config);
   SimulationOptions adaptive;
-  adaptive.adaptation.enabled = true;
-  adaptive.adaptation.period = 0.2;
+  adaptive.calibration.enabled = true;
+  adaptive.calibration.period = 0.2;
   const RunResult with = Simulate(
       workload, sched::PolicyConfig::Of(sched::PolicyKind::kBsd), adaptive);
   const RunResult without =
       Simulate(workload, sched::PolicyConfig::Of(sched::PolicyKind::kBsd));
   EXPECT_GT(with.counters.adaptation_ticks, 0);
+  EXPECT_GT(with.counters.calibration_updates, 0);
   EXPECT_EQ(with.qos.tuples_emitted, without.qos.tuples_emitted);
   EXPECT_GE(with.qos.avg_slowdown, 1.0);
 }

@@ -109,9 +109,9 @@ TEST_P(KernelEquivalenceTest, ByteEqualWithSharingRemainders) {
   }
 }
 
-// The statistics monitor consumes per-charge busy time (AddBusyTime) and
-// per-root emissions: the columnar clock replay must feed it the identical
-// sequence, or adaptation ticks would re-key priorities differently.
+// §10 adaptation is the calibrator, whose tap reads each dispatch's
+// busy-time and emission deltas: the columnar clock replay must produce the
+// identical deltas, or epochs would re-key priorities differently.
 TEST_P(KernelEquivalenceTest, ByteEqualUnderAdaptation) {
   query::WorkloadConfig config;
   config.num_queries = 20;
@@ -124,10 +124,13 @@ TEST_P(KernelEquivalenceTest, ByteEqualUnderAdaptation) {
        {sched::PolicyKind::kLsf, sched::PolicyKind::kBsd}) {
     SimulationOptions options;
     options.batch_size = 32;
-    options.adaptation.enabled = true;
+    options.calibration.enabled = true;
+    const RunResult run =
+        Simulate(workload, sched::PolicyConfig::Of(kind), options);
+    EXPECT_GT(run.counters.calibration_updates, 0);
     ExpectColumnarMatchesScalar(
         workload, kind, options,
-        std::string(sched::PolicyKindName(kind)) + "/adaptation");
+        std::string(sched::PolicyKindName(kind)) + "/calibration");
   }
 }
 
@@ -211,8 +214,8 @@ query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
 
 // Trains that a prefix empties before the root: the reach counts hit zero
 // partway, the replay's early exit must charge exactly what the scalar
-// pass charges, and under adaptation the monitor must see the same
-// AddBusyTime sequence. The blocked queries must emit nothing, which shows
+// pass charges, and under calibration the estimator must see the same
+// per-dispatch deltas. The blocked queries must emit nothing, which shows
 // the early exit really ran.
 TEST_P(KernelEquivalenceTest, ByteEqualWhenAPrefixDropsEveryLane) {
   for (const query::SelectivityMode mode :
@@ -227,17 +230,17 @@ TEST_P(KernelEquivalenceTest, ByteEqualWhenAPrefixDropsEveryLane) {
     const std::string mode_name =
         mode == query::SelectivityMode::kCorrelatedAttribute ? "correlated"
                                                              : "bernoulli";
-    for (const bool adapt : {false, true}) {
+    for (const bool calibrate : {false, true}) {
       for (const sched::PolicyKind kind :
            {sched::PolicyKind::kHnr, sched::PolicyKind::kLsf,
             sched::PolicyKind::kBsd}) {
         SimulationOptions options;
         options.batch_size = 32;
-        options.adaptation.enabled = adapt;
+        options.calibration.enabled = calibrate;
         options.qos.track_per_query = true;
         const std::string what = std::string(sched::PolicyKindName(kind)) +
                                  "/" + mode_name +
-                                 (adapt ? "/adaptation" : "");
+                                 (calibrate ? "/calibration" : "");
         ExpectColumnarMatchesScalar(workload, kind, options, what);
         options.use_columnar_kernels = true;
         const RunResult run = Simulate(

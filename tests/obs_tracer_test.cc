@@ -149,6 +149,9 @@ TEST(EventTracerTest, EventCountsMatchRunCounters) {
   EventTracer tracer(size_t{1} << 20);
   core::SimulationOptions options;
   options.tracer = &tracer;
+  // Estimator epochs are controller events too.
+  options.calibration.enabled = true;
+  options.calibration.period = 0.05;
   const core::RunResult result = core::Simulate(
       workload, sched::PolicyConfig::Of(sched::PolicyKind::kHnr), options);
 
@@ -161,6 +164,7 @@ TEST(EventTracerTest, EventCountsMatchRunCounters) {
             counters.operator_invocations);
   EXPECT_EQ(tracer.CountOf(EventKind::kEmit), counters.tuples_emitted);
   EXPECT_EQ(tracer.CountOf(EventKind::kFilterDrop), counters.tuples_filtered);
+  EXPECT_GT(counters.adaptation_ticks, 0);
   EXPECT_EQ(tracer.CountOf(EventKind::kAdaptationTick),
             counters.adaptation_ticks);
   EXPECT_EQ(tracer.CountOf(EventKind::kTupleArrival),

@@ -73,7 +73,9 @@ TEST(CostCalibratorTest, ConvergesToObservedRatiosAndRescalesIdealTime) {
   UnitTable units;
   units.push_back(MakeUnit(0, /*cost=*/0.001, /*selectivity=*/0.5,
                            /*ideal_time=*/0.002));
-  // Give the unit pending work so its rewrite counts as a re-key.
+  units.push_back(MakeUnit(1, /*cost=*/0.001, /*selectivity=*/0.5,
+                           /*ideal_time=*/0.002));
+  // Give unit 0 pending work so its rewrite counts as a re-key.
   units[0].queue.push_back(QueueEntry{0, 0.0});
   RecordingScheduler scheduler;
   scheduler.Attach(&units);
@@ -82,9 +84,13 @@ TEST(CostCalibratorTest, ConvergesToObservedRatiosAndRescalesIdealTime) {
   config.period = 1.0;
   CostCalibrator calibrator(config, &units, &scheduler);
 
-  // The unit actually runs at twice the assumed cost and 0.8 selectivity.
+  // Unit 0: only selectivities shifted. More tuples reach the later
+  // operators, so the per-tuple cost doubles, but every invocation costs
+  // what the plan says (busy == plan busy): T = Σ c_i must not move.
   calibrator.OnDispatch(0, /*tuples=*/100, /*busy=*/100 * 0.002,
-                        /*emitted=*/80);
+                        /*plan_busy=*/100 * 0.002, /*emitted=*/80);
+  // Unit 1: every operator costs 5x the plan, selectivity unchanged.
+  calibrator.OnDispatch(1, 100, 100 * 0.005, 100 * 0.001, 50);
   EXPECT_FALSE(calibrator.MaybeCalibrate(0.5));  // before the epoch
   EXPECT_TRUE(calibrator.MaybeCalibrate(1.0));
 
@@ -92,26 +98,35 @@ TEST(CostCalibratorTest, ConvergesToObservedRatiosAndRescalesIdealTime) {
   EXPECT_DOUBLE_EQ(calibrator.EstimatedSelectivity(0), 0.8);
   EXPECT_DOUBLE_EQ(units[0].stats.expected_cost, 0.002);
   EXPECT_DOUBLE_EQ(units[0].stats.selectivity, 0.8);
-  // The whole segment drifted by one factor: T scales with the cost.
-  EXPECT_DOUBLE_EQ(units[0].stats.ideal_time, 0.004);
+  EXPECT_EQ(units[0].stats.ideal_time, 0.002);  // bit-equal
   // Derived priorities re-derived from the calibrated inputs.
   EXPECT_DOUBLE_EQ(units[0].stats.output_rate, 0.8 / 0.002);
+  EXPECT_DOUBLE_EQ(units[0].stats.normalized_rate, 0.8 / 0.002 / 0.002);
+
+  EXPECT_DOUBLE_EQ(calibrator.EstimatedCost(1), 0.005);
+  EXPECT_DOUBLE_EQ(units[1].stats.ideal_time, 5 * 0.002);
+
   EXPECT_EQ(scheduler.calls, 1);
-  EXPECT_EQ(scheduler.last_changed, std::vector<int>{0});
-  EXPECT_EQ(calibrator.updates(), 1);
+  EXPECT_EQ(scheduler.last_changed, (std::vector<int>{0, 1}));
+  EXPECT_EQ(calibrator.updates(), 2);
   EXPECT_EQ(calibrator.rekeys(), 1);
-  EXPECT_GT(calibrator.MeanAbsCostDrift(), 0.9);
+  EXPECT_EQ(calibrator.last_updated_units(), 2);
+  // Mean of |2 - 1| and |5 - 1|.
+  EXPECT_DOUBLE_EQ(calibrator.MeanAbsCostDrift(), 2.5);
 
   // Steady state: the same regime observed again moves nothing (hysteresis).
-  calibrator.OnDispatch(0, 100, 100 * 0.002, 80);
+  calibrator.OnDispatch(0, 100, 100 * 0.002, 100 * 0.002, 80);
+  calibrator.OnDispatch(1, 100, 100 * 0.005, 100 * 0.001, 50);
   EXPECT_TRUE(calibrator.MaybeCalibrate(2.0));
-  EXPECT_EQ(calibrator.updates(), 1);
+  EXPECT_EQ(calibrator.updates(), 2);
+  EXPECT_EQ(calibrator.last_updated_units(), 0);
   EXPECT_EQ(scheduler.calls, 1);
+  EXPECT_EQ(calibrator.epochs(), 2);
 }
 
 TEST(CostCalibratorTest, ZeroStaticCostLeavesIdealTimeAndDriftFinite) {
-  // Unit 0 has static cost 0 (a free segment): there is no ratio to rescale
-  // its T by, and no relative drift to average in.
+  // Unit 0 has static cost 0 (a free segment): its plan cost is 0, so there
+  // is no ratio to rescale its T by, and no relative drift to average in.
   // (Set by hand: no static rate is derivable from a zero cost.)
   UnitTable units(1);
   units[0].stats.expected_cost = 0.0;
@@ -126,8 +141,8 @@ TEST(CostCalibratorTest, ZeroStaticCostLeavesIdealTimeAndDriftFinite) {
   config.period = 1.0;
   CostCalibrator calibrator(config, &units, &scheduler);
 
-  calibrator.OnDispatch(0, 100, 100 * 0.002, 50);
-  calibrator.OnDispatch(1, 100, 100 * 0.002, 50);
+  calibrator.OnDispatch(0, 100, 100 * 0.002, /*plan_busy=*/0.0, 50);
+  calibrator.OnDispatch(1, 100, 100 * 0.002, 100 * 0.001, 50);
   ASSERT_TRUE(calibrator.MaybeCalibrate(1.0));
 
   EXPECT_DOUBLE_EQ(units[0].stats.expected_cost, 0.002);
@@ -153,11 +168,11 @@ TEST(CostCalibratorTest, DecayForgetsTheOldRegime) {
   // One epoch of the old regime (cost 0.001), then several of the new
   // (cost 0.005): the exponentially-decayed estimate must approach the new
   // regime geometrically.
-  calibrator.OnDispatch(0, 100, 100 * 0.001, 50);
+  calibrator.OnDispatch(0, 100, 100 * 0.001, 100 * 0.001, 50);
   ASSERT_TRUE(calibrator.MaybeCalibrate(1.0));
   double previous_gap = 0.005 - calibrator.EstimatedCost(0);
   for (int epoch = 2; epoch <= 6; ++epoch) {
-    calibrator.OnDispatch(0, 100, 100 * 0.005, 50);
+    calibrator.OnDispatch(0, 100, 100 * 0.005, 100 * 0.001, 50);
     ASSERT_TRUE(calibrator.MaybeCalibrate(static_cast<SimTime>(epoch)));
     const double gap = 0.005 - calibrator.EstimatedCost(0);
     EXPECT_LT(gap, previous_gap) << "epoch " << epoch;
@@ -178,7 +193,7 @@ TEST(CostCalibratorTest, MinWeightGuardTrustsNothingThin) {
   CostCalibrator calibrator(config, &units, &scheduler);
 
   // 7 tuples of wildly different cost: below min_weight, ignored.
-  calibrator.OnDispatch(0, 7, 7 * 0.010, 7);
+  calibrator.OnDispatch(0, 7, 7 * 0.010, 7 * 0.001, 7);
   EXPECT_TRUE(calibrator.MaybeCalibrate(1.0));
   EXPECT_EQ(calibrator.updates(), 0);
   EXPECT_EQ(scheduler.calls, 0);
@@ -237,7 +252,7 @@ TEST(CalibrationOffTest, DisabledCalibrationIsByteIdenticalAcrossAllPolicies) {
         << "policy " << PolicyKindName(kind);
     EXPECT_EQ(plain_json.find("calibration"), std::string::npos)
         << "policy " << PolicyKindName(kind);
-    EXPECT_EQ(plain.counters.calibration_epochs, 0);
+    EXPECT_EQ(plain.counters.adaptation_ticks, 0);
     EXPECT_EQ(plain.counters.calibration_rekeys, 0);
   }
 }
@@ -251,7 +266,7 @@ TEST(CalibrationDriftTest, CalibratedDriftRunsAreDeterministic) {
     const core::RunResult second = core::Simulate(workload, policy, options);
     EXPECT_EQ(core::RunResultToJson(first), core::RunResultToJson(second))
         << "policy " << PolicyKindName(kind);
-    EXPECT_GT(first.counters.calibration_epochs, 0)
+    EXPECT_GT(first.counters.adaptation_ticks, 0)
         << "policy " << PolicyKindName(kind);
     EXPECT_GT(first.counters.calibration_rekeys, 0)
         << "policy " << PolicyKindName(kind);
