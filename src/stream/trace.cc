@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <string_view>
 
 namespace aqsios::stream {
@@ -37,10 +38,34 @@ const char* ParseTimestamp(std::string_view line, bool more_fields,
   return nullptr;
 }
 
-Status BadTimestamp(const std::string& path, int64_t line_number,
+Status BadTimestamp(const std::string& source, int64_t line_number,
                     const char* why) {
-  return Status::InvalidArgument("bad timestamp at " + path + ":" +
+  return Status::InvalidArgument("bad timestamp at " + source + ":" +
                                  std::to_string(line_number) + ": " + why);
+}
+
+/// Calls `visit(line_number, line)` for every line of `text` that is not
+/// empty and not a '#' comment; stops at the first non-ok Status.
+template <typename Visit>
+Status ForEachDataLine(std::string_view text, Visit&& visit) {
+  int64_t line_number = 0;
+  while (!text.empty()) {
+    const size_t end = text.find('\n');
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    ++line_number;
+    if (line.empty() || line[0] == '#') continue;
+    Status status = visit(line_number, line);
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open trace file: " + path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -74,57 +99,61 @@ Status WriteTrace(const std::string& path,
   return Status::Ok();
 }
 
-StatusOr<std::vector<SimTime>> ReadTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open trace file: " + path);
-  }
+StatusOr<std::vector<SimTime>> ParseTrace(std::string_view text,
+                                          const std::string& source) {
   std::vector<SimTime> timestamps;
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    SimTime t = 0.0;
-    const char* why = ParseTimestamp(line, /*more_fields=*/false, &t);
-    if (why == nullptr && t < 0.0) why = "negative";
-    if (why != nullptr) return BadTimestamp(path, line_number, why);
-    if (!timestamps.empty() && t < timestamps.back()) {
-      return Status::InvalidArgument("decreasing timestamp at " + path + ":" +
-                                     std::to_string(line_number));
-    }
-    timestamps.push_back(t);
-  }
+  const Status status = ForEachDataLine(
+      text, [&](int64_t line_number, std::string_view line) {
+        SimTime t = 0.0;
+        const char* why = ParseTimestamp(line, /*more_fields=*/false, &t);
+        if (why == nullptr && t < 0.0) why = "negative";
+        if (why != nullptr) return BadTimestamp(source, line_number, why);
+        if (!timestamps.empty() && t < timestamps.back()) {
+          return Status::InvalidArgument("decreasing timestamp at " + source +
+                                         ":" + std::to_string(line_number));
+        }
+        timestamps.push_back(t);
+        return Status::Ok();
+      });
+  if (!status.ok()) return status;
   return timestamps;
 }
 
-StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open trace file: " + path);
-  }
+StatusOr<std::vector<SimTime>> ParseTimestampColumn(
+    std::string_view text, const std::string& source) {
   std::vector<SimTime> timestamps;
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    SimTime t = 0.0;
-    const char* why = ParseTimestamp(line, /*more_fields=*/true, &t);
-    if (why != nullptr) return BadTimestamp(path, line_number, why);
-    timestamps.push_back(t);
-  }
+  const Status status = ForEachDataLine(
+      text, [&](int64_t line_number, std::string_view line) {
+        SimTime t = 0.0;
+        const char* why = ParseTimestamp(line, /*more_fields=*/true, &t);
+        if (why != nullptr) return BadTimestamp(source, line_number, why);
+        timestamps.push_back(t);
+        return Status::Ok();
+      });
+  if (!status.ok()) return status;
   if (timestamps.empty()) return timestamps;
   // Packet traces may interleave several flows; enforce global time order and
   // rebase to zero.
   std::sort(timestamps.begin(), timestamps.end());
   const SimTime base = timestamps.front();
   if (!std::isfinite(timestamps.back() - base)) {
-    return Status::InvalidArgument("timestamp range of " + path +
+    return Status::InvalidArgument("timestamp range of " + source +
                                    " overflows a double");
   }
   for (SimTime& t : timestamps) t -= base;
   return timestamps;
+}
+
+StatusOr<std::vector<SimTime>> ReadTrace(const std::string& path) {
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseTrace(text.value(), path);
+}
+
+StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path) {
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseTimestampColumn(text.value(), path);
 }
 
 TraceStats ComputeTraceStats(const std::vector<SimTime>& timestamps) {

@@ -16,13 +16,15 @@
 // whitespace; empty lines are skipped. A real LBL-PKT-4 file
 // (whitespace-separated "timestamp ..." lines) can be converted with
 // ReadTimestampColumn. Both readers return InvalidArgument naming the line
-// of the first malformed one.
+// of the first malformed one. The parsers (ParseTrace, ParseTimestampColumn)
+// take the text itself; the readers read a file and parse its bytes.
 
 #ifndef AQSIOS_STREAM_TRACE_H_
 #define AQSIOS_STREAM_TRACE_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -39,15 +41,24 @@ std::vector<SimTime> GenerateOnOffTrace(const OnOffConfig& config,
 Status WriteTrace(const std::string& path,
                   const std::vector<SimTime>& timestamps);
 
-/// Reads an aqsios-trace file. Fails with InvalidArgument on a line that is
+/// Parses aqsios-trace text. Fails with InvalidArgument on a line that is
 /// not exactly one finite, non-negative number, or if timestamps decrease;
-/// NotFound if the file cannot be opened.
+/// the message names the line as `source`:<line>.
+StatusOr<std::vector<SimTime>> ParseTrace(std::string_view text,
+                                          const std::string& source = "trace");
+
+/// Reads an aqsios-trace file (ParseTrace of its bytes); NotFound if the
+/// file cannot be opened.
 StatusOr<std::vector<SimTime>> ReadTrace(const std::string& path);
 
-/// Reads the first whitespace-separated column of every non-comment line as
+/// Parses the first whitespace-separated column of every non-comment line as
 /// a timestamp (e.g. an ita.ee.lbl.gov packet trace). Further columns are
 /// ignored, but the first must be a finite number with no text stuck to it.
 /// Timestamps are sorted and shifted so the first arrival is at 0.
+StatusOr<std::vector<SimTime>> ParseTimestampColumn(
+    std::string_view text, const std::string& source = "trace");
+
+/// ParseTimestampColumn of a file's bytes; NotFound if it cannot be opened.
 StatusOr<std::vector<SimTime>> ReadTimestampColumn(const std::string& path);
 
 /// Summary statistics of a trace, used to characterize burstiness.
