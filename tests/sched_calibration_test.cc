@@ -6,6 +6,7 @@
 // pin (KineticIndex::clears() stays 0 on the calibration path).
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/report.h"
 #include "exec/engine.h"
 #include "metrics/qos.h"
+#include "query/builder.h"
 #include "query/workload.h"
 #include "sched/basic_policies.h"
 #include "sched/calibration.h"
@@ -22,6 +24,7 @@
 #include "sched/scheduler.h"
 #include "sched/unit.h"
 #include "scan_schedulers.h"
+#include "stream/arrival_process.h"
 #include "stream/drift.h"
 
 namespace aqsios::sched {
@@ -341,6 +344,61 @@ TEST(CalibrationDriftTest, CalibrationNeverClearsTheKineticIndex) {
     EXPECT_GT(counters.calibration_rekeys, 0);
     EXPECT_EQ(bsd.index().clears(), 0);
   }
+}
+
+TEST(CalibrationJoinTest, JoinSelectivityAboveOneStaysFinite) {
+  // A window join can emit more composites than it takes in, so its units'
+  // selectivity (emissions per input tuple) exceeds 1: a ratio, not a
+  // probability. Here every pair in the window matches: 100 arrivals/s per
+  // stream, 2 join keys and a 0.5 s window give each input ~25 partners.
+  // The calibrated estimate must keep that ratio above 1 and every rate
+  // priority finite.
+  std::vector<query::CompiledQuery> queries;
+  for (int i = 0; i < 2; ++i) {
+    query::QuerySpec spec = query::QueryBuilder(0)
+                                .Select(0.05, 1.0)
+                                .WindowJoinWith(1, 0.05, 1.0, 0.5, 0.01)
+                                .Select(0.05, 1.0)
+                                .Common()
+                                .Project(0.01)
+                                .Build();
+    spec.id = i;
+    queries.emplace_back(std::move(spec),
+                         query::SelectivityMode::kIndependent);
+  }
+  const query::GlobalPlan plan(std::move(queries), {}, /*num_streams=*/2);
+  stream::PoissonArrivalProcess left(100.0, 1);
+  stream::PoissonArrivalProcess right(100.0, 2);
+  const stream::ArrivalTable arrivals = stream::MergeArrivalTables(
+      {stream::GenerateArrivals(left, 0, 300, 3, /*num_join_keys=*/2),
+       stream::GenerateArrivals(right, 1, 300, 4, /*num_join_keys=*/2)});
+
+  exec::EngineConfig engine_config;
+  engine_config.calibration.enabled = true;
+  engine_config.calibration.period = arrivals.Horizon() / 10.0;
+  const std::unique_ptr<Scheduler> hnr =
+      CreateScheduler(PolicyConfig::Of(PolicyKind::kHnr));
+  metrics::QosCollector collector((metrics::QosCollector::Options()));
+  exec::Engine engine(&plan, &arrivals, engine_config, hnr.get(),
+                      &collector);
+  const exec::RunCounters counters = engine.Run();
+  ASSERT_GT(counters.adaptation_ticks, 0);
+  ASSERT_GT(counters.tuples_emitted, 2 * arrivals.size());
+  EXPECT_GT(counters.calibration_updates, 0);
+
+  int join_units = 0;
+  for (const Unit& unit : engine.units()) {
+    ASSERT_TRUE(unit.kind == UnitKind::kJoinSideLeft ||
+                unit.kind == UnitKind::kJoinSideRight);
+    ++join_units;
+    const UnitStats& stats = unit.stats;
+    EXPECT_GT(stats.selectivity, 1.0) << "unit " << unit.id;
+    EXPECT_TRUE(std::isfinite(stats.output_rate)) << "unit " << unit.id;
+    EXPECT_TRUE(std::isfinite(stats.normalized_rate)) << "unit " << unit.id;
+    EXPECT_TRUE(std::isfinite(stats.phi)) << "unit " << unit.id;
+    EXPECT_GT(stats.phi, 0.0) << "unit " << unit.id;
+  }
+  EXPECT_EQ(join_units, 4);
 }
 
 }  // namespace
