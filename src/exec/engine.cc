@@ -68,6 +68,40 @@ inline bool FilterPasses(double selectivity, bool correlated,
       selectivity);
 }
 
+// Number of attr[0..n) that are <= bound, one lane at a time: the tail of
+// CountAtMost, and in Debug builds the oracle every reach count is checked
+// against.
+int64_t CountAtMostScalar(const double* attr, size_t n, double bound) {
+  int64_t count = 0;
+  for (size_t j = 0; j < n; ++j) count += attr[j] <= bound ? 1 : 0;
+  return count;
+}
+
+// Two-lane GCC generic vectors: SSE2 registers on x86-64, and plain scalar
+// code on a target without them, so the count below needs no intrinsics.
+typedef double V2df __attribute__((vector_size(16)));
+typedef int64_t V2di __attribute__((vector_size(16)));
+
+// CountAtMostScalar, four lanes per iteration. A vector compare yields -1
+// in every lane it passes, so subtracting the mask counts those lanes; two
+// accumulators keep two compares in flight, and the last n % 4 lanes take
+// the scalar count. Every lane sees the same IEEE `<=` as the scalar
+// chain's FilterPasses.
+inline int64_t CountAtMost(const double* attr, size_t n, double bound) {
+  const V2df b = {bound, bound};
+  V2di acc0 = {0, 0};
+  V2di acc1 = {0, 0};
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const V2df x0 = {attr[j], attr[j + 1]};
+    const V2df x1 = {attr[j + 2], attr[j + 3]};
+    acc0 -= (V2di)(x0 <= b);
+    acc1 -= (V2di)(x1 <= b);
+  }
+  acc0 += acc1;
+  return acc0[0] + acc0[1] + CountAtMostScalar(attr + j, n - j, bound);
+}
+
 }  // namespace
 
 void RunCounters::Merge(const RunCounters& other) {
@@ -993,19 +1027,22 @@ void Engine::CountReachAttribute(size_t n, const KernelOp* ops, int k) {
   // entry is written rather than cleared first. The prefix min only
   // tightens, so once no lane survives a prefix the rest are zero.
   int64_t* reach = kernel_reach_.data();
-  reach[0] = static_cast<int64_t>(n);
+  int64_t count = static_cast<int64_t>(n);
+  reach[0] = count;
+  // An unchanged prefix min means an identical comparison over identical
+  // lanes: keep the count. Random threshold sequences change their running
+  // min only O(log k) times, so most entries take that path. NaN equals no
+  // bound, so the first operator always counts.
+  double bound = std::numeric_limits<double>::quiet_NaN();
   int x = 1;
-  for (; x <= k && reach[x - 1] > 0; ++x) {
-    const double bound = ops[x - 1].run_prefix_min;
-    // An unchanged prefix min means an identical comparison over identical
-    // lanes: reuse the count. Random threshold sequences change their
-    // running min only O(log k) times, so most entries take this path.
-    if (x > 1 && bound == ops[x - 2].run_prefix_min) {
-      reach[x] = reach[x - 1];
-      continue;
+  for (; x <= k && count > 0; ++x) {
+    const double next = ops[x - 1].run_prefix_min;
+    if (next != bound) {
+      bound = next;
+      count = CountAtMost(col_attr_, n, bound);
+      AQSIOS_DCHECK_EQ(count, CountAtMostScalar(col_attr_, n, bound))
+          << "vector reach count disagrees with the scalar count at op " << x;
     }
-    int64_t count = 0;
-    for (size_t j = 0; j < n; ++j) count += col_attr_[j] <= bound ? 1 : 0;
     reach[x] = count;
   }
   std::fill(reach + x, reach + k + 1, int64_t{0});
@@ -1182,15 +1219,17 @@ void Engine::ExecuteUnitTrain(int unit_id) {
       (unit.kind == sched::UnitKind::kQueryChain ||
        unit.kind == sched::UnitKind::kRemainder) &&
       built_.chain_fusion[static_cast<size_t>(unit_id)].contiguous;
-  // The head entry, by value: a train of one needs no other storage, and
-  // the segment-run event names it whatever the train's length.
-  const sched::QueueEntry head = unit.queue.front();
+  // A scalar train of one takes its head entry by value and needs no other
+  // storage; longer scalar trains drain into train_. The columnar pass
+  // reads the gathered columns and never `train`.
+  sched::QueueEntry head;
   const sched::QueueEntry* train = &head;
   if (count == 1 && !columnar) {
+    head = unit.queue.front();
     unit.queue.pop_front();
   } else {
     DrainTrain(unit, count, columnar);
-    train = train_.data();  // the columnar pass reads the columns instead
+    train = train_.data();
   }
   AccrueQueueOccupancy();
   queued_tuples_ -= static_cast<int64_t>(count);
@@ -1263,10 +1302,12 @@ void Engine::ExecuteUnitTrain(int unit_id) {
   // of dispatch, and its span is what queue-wait attribution sees.
   exec_busy_hist_.Add(now_ - exec_start_);
   if (tracer_ != nullptr) {
+    // A traced run never takes the columnar pass, so train[0] is the head.
+    AQSIOS_DCHECK(!columnar);
     tracer_->Record(
         {obs::EventKind::kSegmentRun, exec_start_, now_ - exec_start_,
          unit_id, static_cast<int32_t>(unit.query),
-         arrivals_->arrivals[static_cast<size_t>(head.arrival)].id});
+         arrivals_->arrivals[static_cast<size_t>(train[0].arrival)].id});
   }
   cur_unit_ = -1;
   cur_query_ = -1;

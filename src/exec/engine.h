@@ -604,10 +604,13 @@ class Engine {
   /// number of lanes charged for each operator of the run (reach[x] = lanes
   /// surviving ops [0..x-1]; reach[0] = n). Survival of a run prefix is a
   /// single comparison against that prefix's min threshold
-  /// (KernelOp::run_prefix_min), so each entry is a branch-free vectorizable
-  /// count over the attribute column — no per-lane depth — and consecutive
-  /// ops whose prefix min did not change reuse the previous count outright.
-  /// Lanes are the columns' first n rows, so the count needs no gather.
+  /// (KernelOp::run_prefix_min), so each entry is one compare-and-count over
+  /// the attribute column — no per-lane depth — and consecutive ops whose
+  /// prefix min did not change reuse the previous count outright. The count
+  /// is written with GCC vector extensions, two lanes per compare, because
+  /// GCC 12 at -O3 leaves the plain loop scalar; Debug builds recount every
+  /// entry with the scalar loop. Lanes are the columns' first n rows, so the
+  /// count needs no gather.
   void CountReachAttribute(size_t n, const KernelOp* ops, int k);
   /// Branch-free frozen-Bernoulli depth kernel: fills col_depth_[0..n) with
   /// each lane's survived depth over a run of `k` operators (consecutive

@@ -11,6 +11,7 @@
 // from chains by CompiledQuery validation) but the pass must still handle.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -177,19 +178,14 @@ TEST_P(KernelEquivalenceTest, ByteEqualAtOperatorLevel) {
                               "bsd/operator-level");
 }
 
-/// TestWorkload's arrivals under 20 queries of kEarlyExitOps selects each.
-/// In the even queries operator kBlockAt passes nothing: its correlated
-/// bound (selectivity * 100) lies below every attribute, and its Bernoulli
-/// selectivity is cleared only by an exact-zero draw. So a train's reach
-/// counts fall to zero partway through the fused run, and the clock replay
-/// stops there.
-constexpr int kEarlyExitOps = 6;
-constexpr int kBlockAt = 3;
-constexpr double kBlockSelectivity = 1e-12;
-
-query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
+/// TestWorkload's arrivals under 20 queries of `num_ops` selects each, the
+/// x-th select of query qi at selectivity(qi, x); costs double with the cost
+/// class and are scaled to the workload's 0.9 utilization.
+template <typename Selectivity>
+query::Workload ChainWorkload(uint64_t seed, query::SelectivityMode mode,
+                              int num_ops, Selectivity selectivity) {
   query::Workload workload = TestWorkload(seed, mode);
-  const auto plan = [mode](double cost_scale) {
+  const auto plan = [&](double cost_scale) {
     std::vector<query::CompiledQuery> queries;
     for (int qi = 0; qi < 20; ++qi) {
       query::QuerySpec spec;
@@ -197,11 +193,9 @@ query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
       spec.left_stream = 0;
       spec.cost_class = qi % 4;
       const double cost_ms = cost_scale * static_cast<double>(1 << (qi % 4));
-      for (int x = 0; x < kEarlyExitOps; ++x) {
-        const double selectivity = qi % 2 == 0 && x == kBlockAt
-                                       ? kBlockSelectivity
-                                       : 0.95 - 0.1 * static_cast<double>(x);
-        spec.left_ops.push_back(query::MakeSelect(cost_ms, selectivity));
+      for (int x = 0; x < num_ops; ++x) {
+        spec.left_ops.push_back(
+            query::MakeSelect(cost_ms, selectivity(qi, x)));
       }
       queries.emplace_back(std::move(spec), mode);
     }
@@ -210,6 +204,23 @@ query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
   const double tau = workload.arrivals.MeanInterArrival(0);
   workload.plan = plan(0.9 * tau / plan(1.0).ExpectedWorkPerArrival(0));
   return workload;
+}
+
+/// In the even queries of the early-exit workload operator kBlockAt passes
+/// nothing: its correlated bound (selectivity * 100) lies below every
+/// attribute, and its Bernoulli selectivity is cleared only by an
+/// exact-zero draw. So a train's reach counts fall to zero partway through
+/// the fused run, and the clock replay stops there.
+constexpr int kEarlyExitOps = 6;
+constexpr int kBlockAt = 3;
+constexpr double kBlockSelectivity = 1e-12;
+
+query::Workload EarlyExitWorkload(uint64_t seed, query::SelectivityMode mode) {
+  return ChainWorkload(seed, mode, kEarlyExitOps, [](int qi, int x) {
+    return qi % 2 == 0 && x == kBlockAt
+               ? kBlockSelectivity
+               : 0.95 - 0.1 * static_cast<double>(x);
+  });
 }
 
 // Trains that a prefix empties before the root: the reach counts hit zero
@@ -251,6 +262,56 @@ TEST_P(KernelEquivalenceTest, ByteEqualWhenAPrefixDropsEveryLane) {
                                   << " emitted";
         }
       }
+    }
+  }
+}
+
+// Attributes that sit exactly on a select's bound (attribute == s·100, the
+// `<=` edge) or one ulp to either side of it, under chains where one
+// operator per query has selectivity 1 (an infinite bound) at a position
+// that moves with the query. Train caps 2, 3, 5, 31, 33 and unbounded leave
+// every remainder of the reach count's four-lane loop to its scalar tail.
+TEST_P(KernelEquivalenceTest, ByteEqualWhenAttributesSitOnThresholds) {
+  constexpr int kOps = 6;
+  const double kSelectivities[] = {0.25, 0.5, 0.7, 0.35, 0.9, 0.6};
+  query::Workload workload = ChainWorkload(
+      GetParam(), query::SelectivityMode::kCorrelatedAttribute, kOps,
+      [&](int qi, int x) {
+        return x == qi % kOps ? 1.0 : kSelectivities[(qi + x) % kOps];
+      });
+  // Every finite bound, computed as the engine computes it.
+  std::vector<double> bounds;
+  for (const query::CompiledQuery& q : workload.plan.queries()) {
+    for (const query::OperatorSpec& op : q.spec().left_ops) {
+      const double s = op.EffectiveActualSelectivity();
+      if (s < 1.0) bounds.push_back(s * 100.0);
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  ASSERT_EQ(bounds.size(), 6u);
+  std::vector<stream::Arrival>& arrivals = workload.arrivals.arrivals;
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    const double bound = bounds[i % bounds.size()];
+    const size_t side = (i / bounds.size()) % 3;
+    arrivals[i].attribute =
+        side == 0   ? bound
+        : side == 1 ? std::nextafter(bound, 0.0)
+                    : std::nextafter(bound, 100.0);
+  }
+  for (const sched::PolicyKind kind :
+       {sched::PolicyKind::kFcfs, sched::PolicyKind::kHnr,
+        sched::PolicyKind::kLsf, sched::PolicyKind::kBsd}) {
+    for (const int batch : {2, 3, 5, 31, 33, 0}) {
+      SimulationOptions options;
+      options.batch_size = batch;
+      const std::string what = std::string(sched::PolicyKindName(kind)) +
+                               "/batch=" + std::to_string(batch);
+      ExpectColumnarMatchesScalar(workload, kind, options, what);
+      options.use_columnar_kernels = true;
+      const RunResult run =
+          Simulate(workload, sched::PolicyConfig::Of(kind), options);
+      EXPECT_GT(run.qos.tuples_emitted, 0) << what;
     }
   }
 }
